@@ -16,12 +16,7 @@ content-addressed, so re-running the same spec is served from disk.
 
 from __future__ import annotations
 
-from repro.core.finetune import (
-    FinetuneMode,
-    FinetuneResult,
-    finetune_delay,
-    finetune_mct,
-)
+from repro.core.finetune import FinetuneMode, FinetuneResult
 from repro.core.pipeline import (
     ExperimentContext,
     run_table1,
@@ -30,12 +25,12 @@ from repro.core.pipeline import (
 )
 from repro.core.pretrain import PretrainResult
 from repro.datasets.generation import DatasetBundle
-from repro.netsim.scenarios import ScenarioKind
+from repro.netsim.scenarios import ScenarioKind, generate_traces
 from repro.netsim.trace import Trace
 
 from repro.api.predictor import Predictor
 from repro.api.spec import ExperimentSpec
-from repro.api.store import ArtifactStore, finetuned_key, pretrained_key
+from repro.api.store import ArtifactStore
 
 __all__ = ["Experiment"]
 
@@ -93,17 +88,63 @@ class Experiment:
             f"seed={self.spec.seed}, hash={self.spec_hash})"
         )
 
+    # -- artifact resolution ------------------------------------------------------
+
+    def _artifact(self, planner, *args, **kwargs):
+        """One artifact via the campaign planner's own sub-graph.
+
+        ``planner`` (a :mod:`repro.runtime.plan` function) plans the
+        minimal task graph for the artifact; the target task's planned
+        key finds it in the context memo or the store, so a stage body
+        asking for a planned dependency gets a hit.  On a miss the
+        sub-graph's stages run in order, in-process on this experiment,
+        through the engine's stage dispatch: each serves its own cache
+        hit or stores under its planned key.  No journal, manifest or
+        retry wraps them — the first failure raises as the stage's own
+        exception, and telemetry nests under the caller's span.
+        """
+        from repro.runtime.plan import CampaignPlan
+        from repro.runtime.stages import load_artifact
+        from repro.runtime.worker import execute_stage
+
+        plan = CampaignPlan([self.spec])
+        task = plan.tasks[planner(plan, self.spec, *args, **kwargs)]
+        artifact = load_artifact(self, task)
+        if artifact is None:
+            for step in plan.ordered():
+                execute_stage(step.stage, self, step.params)
+            artifact = load_artifact(self, task)
+        return artifact
+
+    def _stages(self) -> set:
+        """The standard pipeline the facade plans through.  Without a
+        store there is nowhere to keep traces, so bundles simulate their
+        runs inline instead of through a ``traces`` task."""
+        from repro.api.stages import STAGE_REGISTRY
+
+        stages = set(STAGE_REGISTRY.default_pipeline())
+        return stages if self.store is not None else stages - {"traces"}
+
     # -- simulation ---------------------------------------------------------------
 
     def traces(self, scenario: str | None = None) -> list[Trace]:
         """Raw simulation traces for a scenario (store-backed)."""
-        return self.context.traces(scenario or self.spec.scenario)
+        scenario = scenario or self.spec.scenario
+        if self.store is None:
+            return generate_traces(
+                self.spec.scenario_config(scenario), n_runs=self.scale.n_runs
+            )
+        from repro.runtime.plan import _plan_traces
+
+        return self._artifact(_plan_traces, scenario)
 
     # -- datasets -----------------------------------------------------------------
 
     def bundle(self, scenario: str | None = None) -> DatasetBundle:
         """The windowed dataset for this spec's (or a named) scenario."""
-        return self.context.bundle(scenario or self.spec.scenario)
+        from repro.runtime.plan import _plan_bundle
+
+        return self._artifact(_plan_bundle, scenario or self.spec.scenario, self._stages())
 
     # -- models -------------------------------------------------------------------
 
@@ -114,14 +155,23 @@ class Experiment:
         (``{"pretrain": {"precision": "float32"}}``); float64 keeps the
         pre-policy behaviour and cache keys exactly.
         """
-        if precision is None:
-            precision = self.spec.params_for("pretrain").get("precision", "float64")
-        return self.context.pretrained(precision=precision)
+        from repro.runtime.plan import _plan_pretrain
 
-    def pretrain_variant(self, **overrides) -> PretrainResult:
-        """An ablated pre-training variant (see
-        :meth:`ExperimentContext.pretrain_variant`)."""
-        return self.context.pretrain_variant(**overrides)
+        return self._artifact(_plan_pretrain, self._stages(), precision=precision)
+
+    def pretrain_variant(self, features=None, aggregation=None) -> PretrainResult:
+        """An ablated pre-training variant (store-backed; each Table 1 row
+        keys its own checkpoint).
+
+        ``features`` / ``aggregation`` are a :class:`FeatureSpec` ablation
+        and an entry of ``scale.aggregation_variants`` (or their symbolic
+        token names); with neither, this is :meth:`pretrained`.
+        """
+        from repro.runtime.plan import _plan_pretrain
+        from repro.runtime.stages import variant_tokens
+
+        features, aggregation = variant_tokens(self.scale, features, aggregation)
+        return self._artifact(_plan_pretrain, self._stages(), features, aggregation)
 
     def finetuned(
         self,
@@ -149,94 +199,25 @@ class Experiment:
                 then float64).  Non-default precisions key their own
                 cached checkpoints; float64 keys are untouched.
         """
-        result, _pipeline = self._finetuned_with_pipeline(
-            scenario, task, mode, fraction,
-            features=features, aggregation=aggregation, precision=precision,
+        result, _pipeline = self._finetuned(
+            scenario, task, mode, fraction, features, aggregation, precision
         )
         return result
 
-    def _finetuned_with_pipeline(
+    def _finetuned(
         self, scenario, task, mode, fraction, features=None, aggregation=None,
         precision=None,
     ):
-        """Fine-tune (or restore) a model plus the pipeline that feeds it."""
-        if task not in ("delay", "mct"):
-            raise ValueError(f"unknown task {task!r}; choose 'delay' or 'mct'")
-        scenario = scenario or self.spec.scenario
-        if precision is None:
-            precision = self.spec.params_for("finetune").get("precision", "float64")
-        # Ablation variants always pre-train at the default precision;
-        # the spec-level knob addresses only the shared model (mirrors
-        # repro.runtime.plan._base_pretrained_key).
-        pretrain_precision = "float64"
-        if features is None and aggregation is None:
-            pretrain_precision = self.spec.params_for("pretrain").get(
-                "precision", "float64"
-            )
-        settings = self.scale.finetune_settings
-        base_config = self.scale.model_config(features=features, aggregation=aggregation)
-        key = None
-        if self.store is not None:
-            from repro.api.stages import versioned_key
-            from repro.api.store import precision_key
+        """A fine-tuned model plus the pipeline that feeds it."""
+        from repro.runtime.plan import _plan_finetune
+        from repro.runtime.stages import variant_tokens
 
-            base_key = precision_key(
-                versioned_key(
-                    "pretrain",
-                    pretrained_key(
-                        self.spec.scenario_config(ScenarioKind.PRETRAIN),
-                        self.scale.window,
-                        self.scale.n_runs,
-                        base_config,
-                        self.scale.pretrain_settings,
-                    ),
-                ),
-                pretrain_precision,
-            )
-            key = precision_key(
-                versioned_key(
-                    "finetune",
-                    finetuned_key(
-                        base_key, self.spec.scenario_config(scenario), task, mode, fraction, settings
-                    ),
-                ),
-                precision,
-            )
-            cached = self.store.get_finetuned(key)
-            if cached is not None:
-                return cached
-        if features is None and aggregation is None:
-            pre = self.pretrained(precision=pretrain_precision)
-        else:
-            pre = self.pretrain_variant(features=features, aggregation=aggregation)
-        bundle = self.bundle(scenario)
-        if fraction is not None:
-            bundle = bundle.small_fraction(fraction)
-        import copy
-
-        if task == "delay":
-            pipeline = pre.pipeline
-            result = finetune_delay(
-                copy.deepcopy(pre.model), pipeline, bundle, settings=settings, mode=mode,
-                precision=precision,
-            )
-        else:
-            # A fresh MCT scaler per fine-tune: finetune_mct fits it on
-            # the first dataset it sees, so reusing the shared pipeline
-            # would make the stored artifact depend on in-process call
-            # order rather than on the cache key alone.
-            from repro.core.features import FeaturePipeline
-
-            pipeline = FeaturePipeline()
-            pipeline.feature_scaler = pre.pipeline.feature_scaler
-            pipeline.message_size_scaler = pre.pipeline.message_size_scaler
-            result = finetune_mct(
-                copy.deepcopy(pre.model), pre.model.config, pipeline, bundle,
-                settings=settings, mode=mode, precision=precision,
-            )
-        if self.store is not None:
-            self.store.put_finetuned(key, result, pipeline)
-        return result, pipeline
+        features, aggregation = variant_tokens(self.scale, features, aggregation)
+        return self._artifact(
+            _plan_finetune, scenario or self.spec.scenario, self._stages(),
+            task=task, mode=mode, fraction=fraction, features=features,
+            aggregation=aggregation, precision=precision,
+        )
 
     # -- serving ------------------------------------------------------------------
 
@@ -263,7 +244,7 @@ class Experiment:
         if scenario == ScenarioKind.PRETRAIN and task == "delay" and is_default_finetune:
             pre = self.pretrained()
             return Predictor(pre.model, pre.pipeline, task="delay", batch_size=batch_size)
-        result, pipeline = self._finetuned_with_pipeline(scenario, task, mode, fraction)
+        result, pipeline = self._finetuned(scenario, task, mode, fraction)
         return Predictor(result.model, pipeline, task=task, batch_size=batch_size)
 
     def save_checkpoint(self, path, task: str = "delay", **finetune_kwargs) -> None:

@@ -58,7 +58,6 @@ __all__ = [
     "StageRegistry",
     "STAGE_REGISTRY",
     "register_stage",
-    "versioned_key",
     "inputs_by_stage",
 ]
 
@@ -230,28 +229,6 @@ def register_stage(name: str, **options):
     See :class:`StageRegistry.register` for the keyword options.
     """
     return STAGE_REGISTRY.register(name, **options)
-
-
-def versioned_key(name: str, base: str | None) -> str | None:
-    """Apply a registered stage's version to a base key.
-
-    Callers are the interactive key paths (``ExperimentContext`` /
-    ``Experiment``), which must stay in lockstep with planned task keys:
-    if ``name`` is not registered yet (possible only in exotic import
-    orders that bypass ``repro.api``), the built-in stage definitions
-    are imported first — silently passing a built-in's key through would
-    serve stale artifacts after a version bump.  Names that remain
-    unregistered afterwards (uninstalled custom stages) pass the key
-    through unchanged, matching their version-0 planning behaviour.
-    """
-    stage = STAGE_REGISTRY.find(name)
-    if stage is None:
-        # Deliberately lazy: at call time the import is cycle-free, and
-        # pure `repro.api` users never pay for `repro.runtime` otherwise.
-        import repro.runtime.stages  # noqa: F401 — registers built-ins
-
-        stage = STAGE_REGISTRY.find(name)
-    return base if stage is None else stage.versioned_key(base)
 
 
 def inputs_by_stage(inputs: dict | None) -> dict:

@@ -129,11 +129,6 @@ class FeaturePipeline:
         """Std of raw delays (seconds); converts normalised MSE to s²."""
         return float(self.feature_scaler.std[DELAY_COLUMN])
 
-    @property
-    def mct_log_std(self) -> float:
-        """Std of log-MCTs; converts normalised MSE to (log-seconds)²."""
-        return float(self.mct_scaler.std[0])
-
     def transform_features(self, dataset: WindowDataset) -> np.ndarray:
         """Normalised continuous features, shape ``(n, window, 3)``.
 
@@ -167,7 +162,3 @@ class FeaturePipeline:
     def delay_mse_to_seconds2(self, normalised_mse: float) -> float:
         """Normalised-unit delay MSE → seconds²."""
         return float(normalised_mse) * self.delay_std**2
-
-    def mct_mse_to_log2(self, normalised_mse: float) -> float:
-        """Normalised-unit MCT MSE → (natural-log seconds)²."""
-        return float(normalised_mse) * self.mct_log_std**2

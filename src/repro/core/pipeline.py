@@ -1,8 +1,8 @@
 """End-to-end experiment pipeline: the paper's evaluation (§4) as code.
 
-:class:`ExperimentContext` owns datasets and the shared pre-trained
-model for one *scale* (``smoke`` / ``small`` / ``paper``); the
-``run_table1/2/3`` functions regenerate the corresponding tables.
+:class:`ExperimentContext` memoises datasets and trained models for one
+*scale* (``smoke`` / ``small`` / ``paper``); the ``run_table1/2/3``
+functions regenerate the corresponding tables.
 Benchmarks and examples are thin wrappers around this module.
 """
 
@@ -12,12 +12,12 @@ import os
 from dataclasses import dataclass, field
 
 from repro.core.aggregation import AggregationSpec
-from repro.core.features import FeaturePipeline, FeatureSpec
+from repro.core.features import FeatureSpec
 from repro.core.model import NTTConfig
-from repro.core.pretrain import PretrainResult, TrainSettings, pretrain
-from repro.datasets.generation import DatasetBundle, generate_dataset
+from repro.core.pretrain import PretrainResult, TrainSettings
+from repro.datasets.generation import DatasetBundle
 from repro.datasets.windows import WindowConfig
-from repro.netsim.scenarios import ScenarioConfig, ScenarioKind
+from repro.netsim.scenarios import ScenarioConfig
 
 __all__ = [
     "ExperimentScale",
@@ -140,181 +140,65 @@ def get_scale(name: str | None = None) -> ExperimentScale:
 
 
 class ExperimentContext:
-    """Caches datasets and the shared pre-trained model for one scale.
+    """Shared state for one scale: its store and a key → artifact memo.
 
     Dataset generation and pre-training dominate experiment wall time;
-    the three table runners share them through this context.  Two layers
-    of caching apply:
+    the three table runners share their results through this context.
+    Two layers of caching apply, both addressed by the planned task key
+    that the producing stage reads and writes under:
 
-    * in-memory — repeated calls on one context return the same object;
+    * in-memory — the memo holds bundles and trained models (never
+      traces, which the ``traces`` stage streams to disk), so repeated
+      requests on one context return the same object;
     * on-disk — when constructed with an
-      :class:`~repro.api.store.ArtifactStore`, bundles and checkpoints
-      are content-addressed by everything that produced them, so a fresh
+      :class:`~repro.api.store.ArtifactStore`, artifacts are
+      content-addressed by everything that produced them, so a fresh
       context (even in a new process) with the same spec is served from
       disk instead of re-simulating / re-training.
+
+    Artifacts are requested through the
+    :class:`~repro.api.experiment.Experiment` facade; :meth:`bundle`
+    and :meth:`pretrained` are shorthands for it.
     """
 
     def __init__(self, scale: ExperimentScale, store=None, seed: int = 0):
         self.scale = scale
         self.store = store
         self.seed = seed
-        self._bundles: dict[str, DatasetBundle] = {}
-        self._pretrained: PretrainResult | None = None
-        self._pretrain_variants: dict[str, PretrainResult] = {}
+        self._memo: dict[str, object] = {}
 
     def scenario_config(self, kind: str) -> "ScenarioConfig":
         """The resolved scenario config for a registered scenario name."""
         return self.scale.scenario(kind, seed=self.seed)
 
-    # -- simulation ---------------------------------------------------------------
+    def recall(self, key: str, getter: str | None = None):
+        """The artifact stored under ``key``: the memo first, then (and
+        memoised on a hit) the store's ``getter`` method; ``None`` when
+        neither holds it."""
+        artifact = self._memo.get(key)
+        if artifact is None and getter is not None and self.store is not None:
+            artifact = getattr(self.store, getter)(key)
+            if artifact is not None:
+                self._memo[key] = artifact
+        return artifact
 
-    def traces(self, kind: str):
-        """Raw simulation traces for one scenario (store-backed).
+    def remember(self, key: str, artifact) -> None:
+        """Memoise an artifact under its planned key."""
+        self._memo[key] = artifact
 
-        Bundles are windowed from these, so two window configurations
-        over the same scenario share one simulation run set.
-        """
-        from repro.netsim.scenarios import generate_traces
+    def _experiment(self):
+        from repro.api.experiment import Experiment
+        from repro.runtime.plan import spec_for_scale
 
-        scenario = self.scenario_config(kind)
-        key = None
-        if self.store is not None:
-            from repro.api.stages import versioned_key
-            from repro.api.store import traces_key
-
-            key = versioned_key("traces", traces_key(scenario, self.scale.n_runs))
-            cached = self.store.get_traces(key, self.scale.n_runs)
-            if cached is not None:
-                return cached
-        traces = generate_traces(scenario, n_runs=self.scale.n_runs)
-        if self.store is not None:
-            self.store.put_traces(key, traces)
-        return traces
-
-    # -- datasets -----------------------------------------------------------------
+        return Experiment(spec_for_scale(self.scale, seed=self.seed), context=self)
 
     def bundle(self, kind: str) -> DatasetBundle:
-        """The windowed dataset for one scenario (cached; store-backed)."""
-        if kind not in self._bundles:
-            receiver_index = None
-            if kind != ScenarioKind.PRETRAIN:
-                # Receiver identities are shared with pre-training.
-                receiver_index = self.bundle(ScenarioKind.PRETRAIN).receiver_index
-            scenario = self.scenario_config(kind)
-            key = None
-            if self.store is not None:
-                from repro.api.stages import versioned_key
-                from repro.api.store import bundle_key
-
-                key = versioned_key(
-                    "bundle",
-                    bundle_key(
-                        scenario, self.scale.window, self.scale.n_runs, receiver_index
-                    ),
-                )
-                cached = self.store.get_bundle(key)
-                if cached is not None:
-                    self._bundles[kind] = cached
-                    return cached
-            bundle = generate_dataset(
-                scenario,
-                window_config=self.scale.window,
-                n_runs=self.scale.n_runs,
-                name=kind,
-                receiver_index=receiver_index,
-                traces=self.traces(kind) if self.store is not None else None,
-            )
-            if self.store is not None:
-                self.store.put_bundle(key, bundle)
-            self._bundles[kind] = bundle
-        return self._bundles[kind]
-
-    # -- models --------------------------------------------------------------------
-
-    def _pretrain_cached(
-        self,
-        config: NTTConfig,
-        settings: TrainSettings,
-        precision: str = "float64",
-    ) -> PretrainResult:
-        """Pre-train one configuration, store-backed when possible.
-
-        Results are also memoised in-process, so ablation variants are
-        trained once per context even without an artifact store.
-        ``precision`` folds into both cache layers only when non-default
-        (float64 keys stay byte-identical).
-        """
-        from repro.api.hashing import stable_hash
-        from repro.api.store import precision_key
-
-        memo_key = stable_hash(
-            {"config": config, "settings": settings, "precision": precision}
-        )
-        if memo_key in self._pretrain_variants:
-            return self._pretrain_variants[memo_key]
-        key = None
-        if self.store is not None:
-            from repro.api.stages import versioned_key
-            from repro.api.store import pretrained_key
-
-            key = precision_key(
-                versioned_key(
-                    "pretrain",
-                    pretrained_key(
-                        self.scenario_config(ScenarioKind.PRETRAIN),
-                        self.scale.window,
-                        self.scale.n_runs,
-                        config,
-                        settings,
-                    ),
-                ),
-                precision,
-            )
-            cached = self.store.get_pretrained(key)
-            if cached is not None:
-                self._pretrain_variants[memo_key] = cached
-                return cached
-        result = pretrain(
-            config, self.bundle(ScenarioKind.PRETRAIN), settings=settings, precision=precision
-        )
-        if self.store is not None:
-            self.store.put_pretrained(key, result)
-        self._pretrain_variants[memo_key] = result
-        return result
+        """The windowed dataset for one scenario (memoised; store-backed)."""
+        return self._experiment().bundle(kind)
 
     def pretrained(self, precision: str = "float64") -> PretrainResult:
-        """The shared fully-featured pre-trained NTT (cached)."""
-        if precision != "float64":
-            return self._pretrain_cached(
-                self.scale.model_config(), self.scale.pretrain_settings, precision
-            )
-        if self._pretrained is None:
-            self._pretrained = self._pretrain_cached(
-                self.scale.model_config(), self.scale.pretrain_settings
-            )
-        return self._pretrained
-
-    def pretrain_variant(
-        self,
-        features: FeatureSpec | None = None,
-        aggregation: AggregationSpec | None = None,
-        pipeline: FeaturePipeline | None = None,
-    ) -> PretrainResult:
-        """Pre-train an ablated NTT variant.
-
-        Store-backed like :meth:`pretrained` (each Table 1 row keys its
-        own checkpoint) unless a custom ``pipeline`` is supplied, whose
-        fitted statistics the cache key cannot see.
-        """
-        config = self.scale.model_config(features=features, aggregation=aggregation)
-        if pipeline is None:
-            return self._pretrain_cached(config, self.scale.pretrain_settings)
-        return pretrain(
-            config,
-            self.bundle(ScenarioKind.PRETRAIN),
-            settings=self.scale.pretrain_settings,
-            pipeline=pipeline,
-        )
+        """The shared fully-featured pre-trained NTT (memoised; store-backed)."""
+        return self._experiment().pretrained(precision=precision)
 
 
 # -- table runners -------------------------------------------------------------------

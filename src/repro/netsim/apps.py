@@ -31,8 +31,8 @@ __all__ = ["MessageSource", "PacketSink"]
 class PacketSink:
     """Receives packets on a host and records traced ones.
 
-    One sink can serve many flows: register it as the node's default
-    handler or per flow id.
+    One sink can serve many flows as the node's default handler
+    (:meth:`install_default`).
     """
 
     __slots__ = ("sim", "node", "collector", "packets_received", "bytes_received", "messages_completed")
@@ -48,10 +48,6 @@ class PacketSink:
     def install_default(self) -> None:
         """Make this sink the node's fallback handler for all flows."""
         self.node.default_handler = self.on_packet
-
-    def install_flow(self, flow_id: int) -> None:
-        """Handle a single flow id."""
-        self.node.register_flow(flow_id, self.on_packet)
 
     def on_packet(self, packet: Packet) -> None:
         """Deliver callback invoked by the owning node."""

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from repro.api import ArtifactStore, Experiment, ExperimentSpec
+from repro.api.stages import STAGE_REGISTRY
 from repro.api.store import precision_key
 from repro.runtime.plan import plan_campaign
 
 
 def _keys_by_stage(spec):
-    plan = plan_campaign([spec])
+    stages = STAGE_REGISTRY.default_pipeline() + ("drift_monitor",)
+    plan = plan_campaign([spec], stages=stages)
     return {task.stage: task.key for task in plan.ordered()}
 
 
@@ -48,6 +50,7 @@ class TestPlannedKeys:
         assert fp32["pretrain"] != default["pretrain"]
         assert fp32["finetune"] != default["finetune"]
         assert fp32["evaluate"] != default["evaluate"]
+        assert fp32["drift_monitor"] != default["drift_monitor"]
 
     def test_finetune_precision_keeps_pretrain_key(self):
         default = _keys_by_stage(ExperimentSpec(scenario="case1", scale="smoke"))

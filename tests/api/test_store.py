@@ -9,7 +9,7 @@ re-trains.
 import numpy as np
 import pytest
 
-import repro.core.pipeline as pipeline_module
+import repro.runtime.stages as stages_module
 from repro.api import ArtifactStore, Predictor
 from repro.api.store import bundle_key, finetuned_key, pretrained_key, traces_key
 from repro.core.model import NTTConfig, NTTForDelay
@@ -172,8 +172,8 @@ class TestStoreBackedContext:
     @pytest.fixture
     def counters(self, monkeypatch):
         counts = {"generate_dataset": 0, "pretrain": 0}
-        real_generate = pipeline_module.generate_dataset
-        real_pretrain = pipeline_module.pretrain
+        real_generate = stages_module.generate_dataset
+        real_pretrain = stages_module.pretrain
 
         def counting_generate(*args, **kwargs):
             counts["generate_dataset"] += 1
@@ -183,8 +183,8 @@ class TestStoreBackedContext:
             counts["pretrain"] += 1
             return real_pretrain(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline_module, "generate_dataset", counting_generate)
-        monkeypatch.setattr(pipeline_module, "pretrain", counting_pretrain)
+        monkeypatch.setattr(stages_module, "generate_dataset", counting_generate)
+        monkeypatch.setattr(stages_module, "pretrain", counting_pretrain)
         return counts
 
     def test_second_context_never_recomputes(self, fast_scale, store, counters):

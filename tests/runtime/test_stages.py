@@ -44,16 +44,16 @@ class TestRegistry:
         assert "federated_pretrain" in STAGE_REGISTRY.sweep_stages()
 
     def test_default_pipeline_matches_legacy_tuple(self):
-        from repro.runtime import DEFAULT_STAGES
+        assert STAGE_REGISTRY.default_pipeline() == (
+            "traces", "bundle", "pretrain", "finetune", "evaluate",
+        )
 
-        assert DEFAULT_STAGES == ("traces", "bundle", "pretrain", "finetune", "evaluate")
-        assert STAGE_REGISTRY.default_pipeline() == DEFAULT_STAGES
-
-    def test_legacy_shims_importable(self):
-        from repro.runtime.plan import DEFAULT_STAGES, STAGES, SWEEP_STAGES
-
-        assert set(DEFAULT_STAGES) <= set(SWEEP_STAGES) <= set(STAGES)
-        assert "scratch" in STAGES and "scratch" not in SWEEP_STAGES
+    def test_stage_sets_nest(self):
+        default = STAGE_REGISTRY.default_pipeline()
+        sweep = STAGE_REGISTRY.sweep_stages()
+        every = STAGE_REGISTRY.all_stages()
+        assert set(default) <= set(sweep) <= set(every)
+        assert "scratch" in every and "scratch" not in sweep
 
     def test_duplicate_registration_rejected(self):
         fresh = StageRegistry()
