@@ -17,12 +17,7 @@ content-addressed, so re-running the same spec is served from disk.
 from __future__ import annotations
 
 from repro.core.finetune import FinetuneMode, FinetuneResult
-from repro.core.pipeline import (
-    ExperimentContext,
-    run_table1,
-    run_table2,
-    run_table3,
-)
+from repro.core.pipeline import ExperimentContext, run_table
 from repro.core.pretrain import PretrainResult
 from repro.datasets.generation import DatasetBundle
 from repro.netsim.scenarios import ScenarioKind, generate_traces
@@ -30,11 +25,10 @@ from repro.netsim.trace import Trace
 
 from repro.api.predictor import Predictor
 from repro.api.spec import ExperimentSpec
+from repro.api.stages import STAGE_REGISTRY
 from repro.api.store import ArtifactStore
 
 __all__ = ["Experiment"]
-
-_TABLE_RUNNERS = {1: run_table1, 2: run_table2, 3: run_table3}
 
 #: Sentinel: "no store argument given" (``None`` means "no store").
 _DEFAULT_STORE = object()
@@ -90,40 +84,35 @@ class Experiment:
 
     # -- artifact resolution ------------------------------------------------------
 
-    def _artifact(self, planner, *args, **kwargs):
-        """One artifact via the campaign planner's own sub-graph.
+    def artifact(self, stage: str, params: dict):
+        """The artifact one ``stage`` task with ``params`` stores (traces,
+        a bundle or a trained model).
 
-        ``planner`` (a :mod:`repro.runtime.plan` function) plans the
-        minimal task graph for the artifact; the target task's planned
-        key finds it in the context memo or the store, so a stage body
-        asking for a planned dependency gets a hit.  On a miss the
-        sub-graph's stages run in order, in-process on this experiment,
-        through the engine's stage dispatch: each serves its own cache
-        hit or stores under its planned key.  No journal, manifest or
-        retry wraps them — the first failure raises as the stage's own
-        exception, and telemetry nests under the caller's span.
+        The campaign planner plans the task's sub-graph for this spec;
+        the task's planned key finds the artifact in the context memo or
+        the store, so a stage body asking for a planned dependency gets
+        a hit.  On a miss the sub-graph's stages run in order,
+        in-process on this experiment, through the engine's stage
+        dispatch: each serves its own cache hit or stores under its
+        planned key.  No journal, manifest or retry wraps them — the
+        first failure raises as the stage's own exception, and
+        telemetry nests under the caller's span.
         """
-        from repro.runtime.plan import CampaignPlan
+        from repro.runtime.plan import CampaignPlan, plan_task
         from repro.runtime.stages import load_artifact
         from repro.runtime.worker import execute_stage
 
         plan = CampaignPlan([self.spec])
-        task = plan.tasks[planner(plan, self.spec, *args, **kwargs)]
+        task = plan.tasks[plan_task(plan, self.spec, stage, params)]
         artifact = load_artifact(self, task)
         if artifact is None:
             for step in plan.ordered():
-                execute_stage(step.stage, self, step.params)
+                # Without a store there is nowhere to keep traces, so
+                # bundles simulate their runs inline instead.
+                if self.store is not None or step.stage != "traces":
+                    execute_stage(step.stage, self, step.params)
             artifact = load_artifact(self, task)
         return artifact
-
-    def _stages(self) -> set:
-        """The standard pipeline the facade plans through.  Without a
-        store there is nowhere to keep traces, so bundles simulate their
-        runs inline instead of through a ``traces`` task."""
-        from repro.api.stages import STAGE_REGISTRY
-
-        stages = set(STAGE_REGISTRY.default_pipeline())
-        return stages if self.store is not None else stages - {"traces"}
 
     # -- simulation ---------------------------------------------------------------
 
@@ -134,17 +123,13 @@ class Experiment:
             return generate_traces(
                 self.spec.scenario_config(scenario), n_runs=self.scale.n_runs
             )
-        from repro.runtime.plan import _plan_traces
-
-        return self._artifact(_plan_traces, scenario)
+        return self.artifact("traces", {"scenario": scenario})
 
     # -- datasets -----------------------------------------------------------------
 
     def bundle(self, scenario: str | None = None) -> DatasetBundle:
         """The windowed dataset for this spec's (or a named) scenario."""
-        from repro.runtime.plan import _plan_bundle
-
-        return self._artifact(_plan_bundle, scenario or self.spec.scenario, self._stages())
+        return self.artifact("bundle", {"scenario": scenario or self.spec.scenario})
 
     # -- models -------------------------------------------------------------------
 
@@ -155,9 +140,10 @@ class Experiment:
         (``{"pretrain": {"precision": "float32"}}``); float64 keeps the
         pre-policy behaviour and cache keys exactly.
         """
-        from repro.runtime.plan import _plan_pretrain
-
-        return self._artifact(_plan_pretrain, self._stages(), precision=precision)
+        params = STAGE_REGISTRY.get("pretrain").params_for(self.spec)
+        if precision is not None:
+            params["precision"] = precision
+        return self.artifact("pretrain", params)
 
     def pretrain_variant(self, features=None, aggregation=None) -> PretrainResult:
         """An ablated pre-training variant (store-backed; each Table 1 row
@@ -167,11 +153,11 @@ class Experiment:
         and an entry of ``scale.aggregation_variants`` (or their symbolic
         token names); with neither, this is :meth:`pretrained`.
         """
-        from repro.runtime.plan import _plan_pretrain
-        from repro.runtime.stages import variant_tokens
+        from repro.runtime.stages import base_params, variant_tokens
 
         features, aggregation = variant_tokens(self.scale, features, aggregation)
-        return self._artifact(_plan_pretrain, self._stages(), features, aggregation)
+        tokens = {"features": features, "aggregation": aggregation}
+        return self.artifact("pretrain", base_params(self.spec, tokens))
 
     def finetuned(
         self,
@@ -209,15 +195,16 @@ class Experiment:
         precision=None,
     ):
         """A fine-tuned model plus the pipeline that feeds it."""
-        from repro.runtime.plan import _plan_finetune
-        from repro.runtime.stages import variant_tokens
+        from repro.runtime.stages import finetune_params, variant_tokens
 
         features, aggregation = variant_tokens(self.scale, features, aggregation)
-        return self._artifact(
-            _plan_finetune, scenario or self.spec.scenario, self._stages(),
-            task=task, mode=mode, fraction=fraction, features=features,
-            aggregation=aggregation, precision=precision,
+        params = finetune_params(
+            self.spec, scenario=scenario or self.spec.scenario, task=task, mode=mode,
+            fraction=fraction, features=features, aggregation=aggregation,
         )
+        if precision is not None:
+            params["precision"] = precision
+        return self.artifact("finetune", params)
 
     # -- serving ------------------------------------------------------------------
 
@@ -256,10 +243,4 @@ class Experiment:
 
     def run_table(self, table: int) -> dict:
         """Run one of the paper's tables (1, 2 or 3) on this context."""
-        try:
-            runner = _TABLE_RUNNERS[int(table)]
-        except (KeyError, ValueError):
-            raise ValueError(
-                f"unknown table {table!r}; choose from {sorted(_TABLE_RUNNERS)}"
-            ) from None
-        return runner(self.scale, self.context)
+        return run_table(table, self.scale, self.context)

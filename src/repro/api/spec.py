@@ -58,11 +58,11 @@ class ExperimentSpec:
         pretrain: pre-training settings override.
         finetune: fine-tuning settings override.
         fine_fraction: the paper's "smaller dataset" fraction.
-        pipeline: optional custom stage pipeline — names of registered
-            sweepable stages (see :data:`repro.api.stages.STAGE_REGISTRY`)
-            planned for this spec instead of the standard chain.  Stage
-            names are validated at planning time, when every stage
-            module has been imported.
+        pipeline: optional stage selection — names of registered stages
+            (see :data:`repro.api.stages.STAGE_REGISTRY`) planned, with
+            their dependencies, for this spec instead of the campaign's
+            selection.  Stage names are validated at planning time, when
+            every stage module has been imported.
         stage_params: optional per-stage parameter dictionaries, e.g.
             ``{"federated_pretrain": {"n_clients": 4}}``.  Values must
             be JSON scalars or (nested) lists/dicts thereof; they are

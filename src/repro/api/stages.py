@@ -6,9 +6,15 @@ adding a new workload must not require editing core code.  A
 :class:`Stage` declares everything the planner and the workers need:
 
 * ``name`` — the stage's registry name (``repro sweep --stages <name>``);
-* ``deps`` — names of upstream registered stages planned for the same
-  spec (their results flow in through the ``inputs`` argument and, for
-  heavy artifacts, through the shared artifact store);
+* ``params_fn(spec)`` — the stage's default parameters for a spec
+  (``None`` → the stage does not apply to it); a task's parameters are
+  these defaults overlaid with ``spec.params_for(name)``;
+* ``deps`` — the upstream stages a task needs: names of registered
+  stages (planned with their own parameters for the same spec), or a
+  function ``deps(spec, params)`` returning ``(stage, params)`` pairs
+  derived from the task's parameters.  Their results flow in through
+  the ``inputs`` argument and, for heavy artifacts, through the shared
+  artifact store;
 * ``version`` — folded into the stage's cache keys, so bumping it after
   editing the stage's code invalidates exactly that stage's artifacts
   (and, through derived keys, its downstream dependents) instead of the
@@ -67,28 +73,47 @@ class Stage:
     """One registered pipeline stage (see the module docstring).
 
     ``default`` marks membership in the standard
-    traces→bundle→pretrain→finetune→evaluate pipeline; ``sweepable``
-    stages may be planned directly by ``plan_campaign`` /
-    ``repro sweep --stages`` (table-only stages such as ``scratch``
-    and ``baselines`` are not).  ``plan_fn(plan, spec, params)``
-    optionally replaces the default planner for stages whose task graph
-    needs bespoke construction; without it the planner recursively plans
-    ``deps`` and adds one task keyed by :meth:`task_key`.  ``module``
+    traces→bundle→pretrain→finetune→evaluate pipeline.  The planner
+    plans a task by first planning every dependency :meth:`dependencies`
+    yields for it, then adding one task keyed by :meth:`task_key`.  ``module``
     records where ``run`` was defined so worker processes can import it
     before dispatch.
     """
 
     name: str
     run: Callable
-    deps: tuple[str, ...] = ()
+    deps: tuple[str, ...] | Callable = ()
     version: int = 0
     kind: str | None = None
     key_fn: Callable | None = None
+    params_fn: Callable | None = None
     description: str = ""
     default: bool = False
-    sweepable: bool = True
-    plan_fn: Callable | None = None
     module: str = ""
+
+    def params_for(self, spec) -> dict | None:
+        """This stage's task parameters for one spec: its defaults
+        overlaid with the spec's ``stage_params``; ``None`` when the
+        stage does not apply to the spec."""
+        defaults = {} if self.params_fn is None else self.params_fn(spec)
+        if defaults is None:
+            return None
+        return {**defaults, **spec.params_for(self.name)}
+
+    def dependencies(self, spec, params: dict) -> tuple[tuple[str, dict], ...]:
+        """The ``(stage, params)`` pairs one task of this stage needs."""
+        if callable(self.deps):
+            return tuple(self.deps(spec, params))
+        pairs = []
+        for name in self.deps:
+            dep_params = STAGE_REGISTRY.get(name).params_for(spec)
+            if dep_params is None:
+                raise ValueError(
+                    f"stage {self.name!r} depends on {name!r}, which does not "
+                    f"apply to scenario {spec.scenario!r}"
+                )
+            pairs.append((name, dep_params))
+        return tuple(pairs)
 
     def versioned_key(self, base: str | None) -> str | None:
         """Mix :attr:`version` into a base content key.
@@ -119,14 +144,13 @@ class StageRegistry:
         self,
         name: str,
         *,
-        deps: tuple[str, ...] = (),
+        deps: tuple[str, ...] | Callable = (),
         version: int = 0,
         kind: str | None = None,
         key_fn: Callable | None = None,
+        params_fn: Callable | None = None,
         description: str = "",
         default: bool = False,
-        sweepable: bool = True,
-        plan_fn: Callable | None = None,
         replace_existing: bool = False,
     ):
         """Decorator: register ``fn(experiment, inputs, params)``."""
@@ -137,14 +161,13 @@ class StageRegistry:
             self._entries[name] = Stage(
                 name=name,
                 run=fn,
-                deps=tuple(deps),
+                deps=deps if callable(deps) else tuple(deps),
                 version=version,
                 kind=kind,
                 key_fn=key_fn,
+                params_fn=params_fn,
                 description=description,
                 default=default,
-                sweepable=sweepable,
-                plan_fn=plan_fn,
                 module=getattr(fn, "__module__", "") or "",
             )
             return fn
@@ -175,14 +198,9 @@ class StageRegistry:
         return tuple(stage.name for stage in self._entries.values() if stage.default)
 
     def sweep_stages(self) -> tuple[str, ...]:
-        """Every stage plannable by ``plan_campaign`` — the default
-        pipeline first, then the other sweepable stages, both in
-        registration order."""
-        rest = tuple(
-            stage.name
-            for stage in self._entries.values()
-            if stage.sweepable and not stage.default
-        )
+        """Every registered stage, the default pipeline first, both
+        parts in registration order."""
+        rest = tuple(stage.name for stage in self._entries.values() if not stage.default)
         return self.default_pipeline() + rest
 
     def all_stages(self) -> tuple[str, ...]:
@@ -226,7 +244,11 @@ def register_stage(name: str, **options):
             ...
             return False, {"packets": ...}
 
-    See :class:`StageRegistry.register` for the keyword options.
+    The keyword options are the :class:`Stage` fields: ``deps`` (stage
+    names, or ``deps(spec, params)`` yielding ``(stage, params)``
+    pairs), ``version``, ``kind``, ``key_fn``, ``params_fn``,
+    ``description`` and ``default``; ``replace_existing=True``
+    re-registers a name.
     """
     return STAGE_REGISTRY.register(name, **options)
 

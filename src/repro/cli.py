@@ -551,17 +551,22 @@ def _cmd_scenarios(args) -> int:
 
 def _cmd_stages(args) -> int:
     import repro.runtime  # noqa: F401 — registers the built-in stages
+    from repro.api import ExperimentSpec
     from repro.api.stages import STAGE_REGISTRY
 
+    # Dependencies may vary with a task's parameters; list them as a
+    # fine-tuning spec plans them.
+    spec = ExperimentSpec(scenario="case1", scale="smoke")
     for name in STAGE_REGISTRY.sweep_stages():
         stage = STAGE_REGISTRY.get(name)
         marker = "*" if stage.default else " "
-        deps = ",".join(stage.deps) if stage.deps else "-"
+        pairs = stage.dependencies(spec, stage.params_for(spec))
+        deps = ",".join(dict.fromkeys(dep for dep, _ in pairs)) or "-"
         print(
             f"{marker} {stage.name:20s} v{stage.version}  "
             f"kind={stage.kind or '-':12s} deps={deps:16s} {stage.description}"
         )
-    print("(* = standard pipeline; table-only stages not shown)")
+    print("(* = standard pipeline; deps as planned for a case1 spec)")
     return 0
 
 

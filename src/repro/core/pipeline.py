@@ -2,7 +2,8 @@
 
 :class:`ExperimentContext` memoises datasets and trained models for one
 *scale* (``smoke`` / ``small`` / ``paper``); the ``run_table1/2/3``
-functions regenerate the corresponding tables.
+functions regenerate the corresponding tables, each planned as a family
+of specs (:func:`table_specs`).
 Benchmarks and examples are thin wrappers around this module.
 """
 
@@ -13,16 +14,21 @@ from dataclasses import dataclass, field
 
 from repro.core.aggregation import AggregationSpec
 from repro.core.features import FeatureSpec
+from repro.core.finetune import FinetuneMode
 from repro.core.model import NTTConfig
 from repro.core.pretrain import PretrainResult, TrainSettings
 from repro.datasets.generation import DatasetBundle
 from repro.datasets.windows import WindowConfig
-from repro.netsim.scenarios import ScenarioConfig
+from repro.netsim.scenarios import ScenarioConfig, ScenarioKind
 
 __all__ = [
     "ExperimentScale",
     "ExperimentContext",
     "get_scale",
+    "TABLE1_VARIANTS",
+    "table_specs",
+    "table_rows",
+    "run_table",
     "run_table1",
     "run_table2",
     "run_table3",
@@ -201,42 +207,198 @@ class ExperimentContext:
         return self._experiment().pretrained(precision=precision)
 
 
-# -- table runners -------------------------------------------------------------------
+# -- the paper's tables -------------------------------------------------------------
 #
-# Since the `repro.runtime` campaign engine, each table declares its
-# independent training units as a task plan and submits them through a
-# CampaignEngine, so the exact same stage code serves interactive runs,
-# `repro sweep` campaigns and the benchmarks — and `workers=N` fans a
-# table's independent units out over a process pool.
+# Each table is a spec family: every cell is one spec whose ``pipeline``
+# names the stage that produces the cell and whose ``stage_params`` pick
+# its variant.  The family plans as one campaign through
+# ``plan_campaign`` — shared work (traces, bundles, the pre-trained
+# model) deduplicates by key, the journal records the stage selection,
+# and ``repro resume`` finishes an interrupted table — and each cell is
+# read back as the task of its stage that its spec planned.
+
+#: Table 1's ablation rows → symbolic variant tokens.
+TABLE1_VARIANTS = {
+    "no_aggregation": {"aggregation": "none"},
+    "fixed_aggregation": {"aggregation": "fixed"},
+    "without_packet_size": {"features": "without_size"},
+    "without_delay": {"features": "without_delay"},
+}
 
 
-def _run_table_campaign(table: int, scale, context, engine, workers):
-    """Plan one table for this context and execute it on an engine."""
+def _cell(spec, stage: str, scenario: str, **params):
+    """One table cell: ``spec`` planning ``stage`` on ``scenario``."""
+    return spec.with_overrides(
+        scenario=scenario,
+        pipeline=(stage,),
+        stage_params={stage: params} if params else None,
+    )
+
+
+def _table1_cells(spec) -> dict:
+    fraction = spec.to_scale().fine_fraction
+    case1 = ScenarioKind.CASE1
+
+    def per_task(row: str, stage: str, **tokens) -> dict:
+        return {
+            (row, task): _cell(spec, stage, case1, task=task, fraction=fraction, **tokens)
+            for task in ("delay", "mct")
+        }
+
+    cells = {**per_task("ntt_pretrained", "finetune"), **per_task("ntt_from_scratch", "scratch")}
+    for scenario in (ScenarioKind.PRETRAIN, case1):
+        cells[("baselines", scenario)] = _cell(spec, "baselines", scenario)
+    for row, tokens in TABLE1_VARIANTS.items():
+        cells.update(per_task(row, "finetune", **tokens))
+    return cells
+
+
+def _table1_rows(cells: dict, outcome) -> dict:
+    results = _results(cells, outcome)
+
+    def ntt_row(row: str) -> dict:
+        pretrained = outcome.result_for(cells[(row, "delay")], "pretrain")
+        return {
+            "pretrain_delay_mse": None
+            if row == "ntt_from_scratch"
+            else pretrained["test_mse_seconds2"],
+            "finetune_delay_mse": results[(row, "delay")]["test_mse"],
+            "finetune_mct_mse": results[(row, "mct")]["test_mse"],
+        }
+
+    rows = {row: ntt_row(row) for row in ("ntt_pretrained", "ntt_from_scratch")}
+    # Naive baselines, evaluated on both test sets (the fine-tuning
+    # fraction keeps the full test split, so case-1 numbers compare).
+    pretrain_baselines = results[("baselines", ScenarioKind.PRETRAIN)]["rows"]
+    case1_baselines = results[("baselines", ScenarioKind.CASE1)]["rows"]
+    for name in ("last_observed", "ewma"):
+        rows[name] = {
+            "pretrain_delay_mse": pretrain_baselines[name]["delay_mse"],
+            "finetune_delay_mse": case1_baselines[name]["delay_mse"],
+            "finetune_mct_mse": case1_baselines[name]["mct_log_mse"],
+        }
+    rows.update({row: ntt_row(row) for row in TABLE1_VARIANTS})
+    return rows
+
+
+def _table2_cells(spec) -> dict:
+    fraction = spec.to_scale().fine_fraction
+    case1 = ScenarioKind.CASE1
+    return {
+        "pretrained_full": _cell(spec, "finetune", case1),
+        "pretrained_10pct": _cell(spec, "finetune", case1, fraction=fraction),
+        "scratch_full": _cell(spec, "scratch", case1),
+        "scratch_10pct": _cell(spec, "scratch", case1, fraction=fraction),
+    }
+
+
+def _table2_rows(cells: dict, outcome) -> dict:
+    return {
+        row: {
+            "layers_trained": result["mode"],
+            "delay_mse": result["test_mse"],
+            "training_time_s": result["training_time_s"],
+        }
+        for row, result in _results(cells, outcome).items()
+    }
+
+
+def _table3_cells(spec) -> dict:
+    fraction = spec.to_scale().fine_fraction
+    case2 = ScenarioKind.CASE2
+    full = FinetuneMode.FULL
+    return {
+        "pretrained_full": _cell(spec, "finetune", case2, mode=full),
+        "pretrained_10pct": _cell(spec, "finetune", case2, mode=full, fraction=fraction),
+        "scratch_full": _cell(spec, "scratch", case2),
+        "scratch_10pct": _cell(spec, "scratch", case2, fraction=fraction),
+        "baselines": _cell(spec, "baselines", case2),
+        "without_receiver_id": _cell(
+            spec, "finetune", case2, mode=full, features="without_receiver"
+        ),
+    }
+
+
+def _table3_rows(cells: dict, outcome) -> dict:
+    results = _results(cells, outcome)
+    # Baselines (the §4 "not shown" reference numbers).
+    baselines = results.pop("baselines")["rows"]
+    # Without addressing information the receivers are indistinguishable.
+    without_receiver = results.pop("without_receiver_id")
+    rows = {
+        row: {"delay_mse": result["test_mse"], "training_time_s": result["training_time_s"]}
+        for row, result in results.items()
+    }
+    for name in ("last_observed", "ewma"):
+        rows[name] = {"delay_mse": baselines[name]["delay_mse"]}
+    rows["without_receiver_id"] = {"delay_mse": without_receiver["test_mse"]}
+    return rows
+
+
+def _results(cells: dict, outcome) -> dict:
+    """Each cell's result: the task of its selected stage it planned."""
+    return {row: outcome.result_for(cell, cell.pipeline[0]) for row, cell in cells.items()}
+
+
+#: Table number → (cell specs, row assembly).
+_TABLES = {
+    1: (_table1_cells, _table1_rows),
+    2: (_table2_cells, _table2_rows),
+    3: (_table3_cells, _table3_rows),
+}
+
+
+def _table(table):
+    try:
+        return _TABLES[int(table)]
+    except (KeyError, ValueError):
+        raise ValueError(f"unknown table {table!r}; choose from {sorted(_TABLES)}") from None
+
+
+def table_specs(table: int, spec) -> list:
+    """One of the paper's tables as a spec family over ``spec``'s scale
+    and seed (plan it with :func:`~repro.runtime.plan.plan_campaign`)."""
+    cells, _rows = _table(table)
+    return list(cells(spec).values())
+
+
+def table_rows(table: int, spec, outcome) -> dict:
+    """A table's rows from a finished campaign over its spec family
+    (``outcome`` is the :class:`~repro.runtime.engine.CampaignResult` of
+    a fresh or resumed run)."""
+    cells, rows = _table(table)
+    return rows(cells(spec), outcome)
+
+
+def run_table(
+    table: int,
+    scale: ExperimentScale | None = None,
+    context: ExperimentContext | None = None,
+    engine=None,
+    workers: int = 1,
+) -> dict:
+    """Plan one table for a context's scale and seed, run it on an engine
+    (``workers=N`` fans its independent cells out over a process pool)
+    and return its rows."""
     from repro.runtime.engine import CampaignEngine
-    from repro.runtime.plan import plan_table, spec_for_scale
+    from repro.runtime.plan import plan_campaign, spec_for_scale
 
     scale = scale if scale is not None else get_scale()
     context = context if context is not None else ExperimentContext(scale)
     if engine is None:
         engine = CampaignEngine(store=context.store, workers=workers)
     spec = spec_for_scale(scale, seed=context.seed)
-    plan, layout = plan_table(table, spec)
-    outcome = engine.run(plan, context=context)
+    outcome = engine.run(plan_campaign(table_specs(table, spec)), context=context)
     failures = outcome.failed_tasks()
     if failures:
         raise RuntimeError(
             f"table {table} campaign failed at {failures[0]['id']}:\n"
             + failures[0]["error"]
         )
-    return outcome, layout
+    return table_rows(table, spec, outcome)
 
 
-def run_table1(
-    scale: ExperimentScale | None = None,
-    context: ExperimentContext | None = None,
-    engine=None,
-    workers: int = 1,
-) -> dict:
+def run_table1(scale=None, context=None, engine=None, workers: int = 1) -> dict:
     """Table 1: MSE for all models and tasks (case 1, 10% fine-tuning).
 
     Rows: pre-trained NTT, from-scratch NTT, the two naive baselines and
@@ -244,72 +406,20 @@ def run_table1(
     delay MSE, fine-tuned log-MCT MSE (all in paper units ×10⁻³:
     seconds² for delay, log² for MCT).
     """
-    outcome, layout = _run_table_campaign(1, scale, context, engine, workers)
-    rows: dict[str, dict] = {}
-    rows["ntt_pretrained"] = {
-        "pretrain_delay_mse": outcome[layout["pretrain"]]["test_mse_seconds2"],
-        "finetune_delay_mse": outcome[layout["ft_delay"]]["test_mse"],
-        "finetune_mct_mse": outcome[layout["ft_mct"]]["test_mse"],
-    }
-    rows["ntt_from_scratch"] = {
-        "pretrain_delay_mse": None,
-        "finetune_delay_mse": outcome[layout["scratch_delay"]]["test_mse"],
-        "finetune_mct_mse": outcome[layout["scratch_mct"]]["test_mse"],
-    }
-    # Naive baselines, evaluated on both test sets (the fine-tuning
-    # fraction keeps the full test split, so case-1 numbers compare).
-    pretrain_baselines = outcome[layout["baselines_pretrain"]]["rows"]
-    case1_baselines = outcome[layout["baselines_case1"]]["rows"]
-    for name in ("last_observed", "ewma"):
-        rows[name] = {
-            "pretrain_delay_mse": pretrain_baselines[name]["delay_mse"],
-            "finetune_delay_mse": case1_baselines[name]["delay_mse"],
-            "finetune_mct_mse": case1_baselines[name]["mct_log_mse"],
-        }
-    for name, units in layout["variants"].items():
-        rows[name] = {
-            "pretrain_delay_mse": outcome[units["pretrain"]]["test_mse_seconds2"],
-            "finetune_delay_mse": outcome[units["ft_delay"]]["test_mse"],
-            "finetune_mct_mse": outcome[units["ft_mct"]]["test_mse"],
-        }
-    return rows
+    return run_table(1, scale, context, engine, workers)
 
 
-def run_table2(
-    scale: ExperimentScale | None = None,
-    context: ExperimentContext | None = None,
-    engine=None,
-    workers: int = 1,
-) -> dict:
+def run_table2(scale=None, context=None, engine=None, workers: int = 1) -> dict:
     """Table 2: pre-training saves fine-tuning data and compute (case 1).
 
     Rows: pre-trained + decoder-only on full/10% data vs. from-scratch +
     full model on full/10% data; columns: delay MSE and wall-clock
     training time of the fine-tuning stage.
     """
-    outcome, layout = _run_table_campaign(2, scale, context, engine, workers)
-    rows: dict[str, dict] = {}
-    for label in ("full", "10pct"):
-        rows[f"pretrained_{label}"] = {
-            "layers_trained": "decoder_only",
-            "delay_mse": outcome[layout[f"pretrained_{label}"]]["test_mse"],
-            "training_time_s": outcome[layout[f"pretrained_{label}"]]["training_time_s"],
-        }
-    for label in ("full", "10pct"):
-        rows[f"scratch_{label}"] = {
-            "layers_trained": "full",
-            "delay_mse": outcome[layout[f"scratch_{label}"]]["test_mse"],
-            "training_time_s": outcome[layout[f"scratch_{label}"]]["training_time_s"],
-        }
-    return rows
+    return run_table(2, scale, context, engine, workers)
 
 
-def run_table3(
-    scale: ExperimentScale | None = None,
-    context: ExperimentContext | None = None,
-    engine=None,
-    workers: int = 1,
-) -> dict:
+def run_table3(scale=None, context=None, engine=None, workers: int = 1) -> dict:
     """Table 3: the larger topology (case 2).
 
     Pre-trained models fine-tune (full model — the new receivers need
@@ -317,27 +427,7 @@ def run_table3(
     no-receiver-ID ablation cannot tell receivers apart; baselines for
     reference.
     """
-    outcome, layout = _run_table_campaign(3, scale, context, engine, workers)
-    rows: dict[str, dict] = {}
-    for label in ("full", "10pct"):
-        rows[f"pretrained_{label}"] = {
-            "delay_mse": outcome[layout[f"pretrained_{label}"]]["test_mse"],
-            "training_time_s": outcome[layout[f"pretrained_{label}"]]["training_time_s"],
-        }
-    for label in ("full", "10pct"):
-        rows[f"scratch_{label}"] = {
-            "delay_mse": outcome[layout[f"scratch_{label}"]]["test_mse"],
-            "training_time_s": outcome[layout[f"scratch_{label}"]]["training_time_s"],
-        }
-    # Baselines (the §4 "not shown" reference numbers).
-    baselines = outcome[layout["baselines_case2"]]["rows"]
-    rows["last_observed"] = {"delay_mse": baselines["last_observed"]["delay_mse"]}
-    rows["ewma"] = {"delay_mse": baselines["ewma"]["delay_mse"]}
-    # Without addressing information the receivers are indistinguishable.
-    rows["without_receiver_id"] = {
-        "delay_mse": outcome[layout["without_receiver_id"]]["test_mse"]
-    }
-    return rows
+    return run_table(3, scale, context, engine, workers)
 
 
 def format_rows(rows: dict, scale_factor: float = 1e3, unit: str = "x1e-3") -> str:

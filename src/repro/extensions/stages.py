@@ -168,10 +168,9 @@ def _drift_params(params: dict) -> tuple[float, float]:
 def _drift_key(spec, params: dict) -> str:
     # The monitored model is the spec's shared pre-trained NTT, keyed by
     # the pretrain stage itself (precision knob included).
-    from repro.runtime.stages import pretrain_params
-
     sensitivity, tolerance = _drift_params(params)
-    model_key = STAGE_REGISTRY.get("pretrain").task_key(spec, pretrain_params(spec))
+    pretrain = STAGE_REGISTRY.get("pretrain")
+    model_key = pretrain.task_key(spec, pretrain.params_for(spec))
     return stable_hash(
         {
             "artifact": "drift_monitor",

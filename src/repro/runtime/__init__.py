@@ -34,7 +34,6 @@ from repro.runtime.plan import (
     CampaignPlan,
     StageTask,
     plan_campaign,
-    plan_table,
     spec_for_scale,
 )
 from repro.runtime.policy import RetryPolicy
@@ -52,7 +51,6 @@ __all__ = [
     "CampaignPlan",
     "StageTask",
     "plan_campaign",
-    "plan_table",
     "spec_for_scale",
     "expand_grid",
     "specs_from_file",

@@ -85,6 +85,17 @@ class CampaignResult:
         """Result payload of one completed task."""
         return self.results[task_id]
 
+    def result_for(self, spec, stage: str) -> dict:
+        """Result payload of the one ``stage`` task ``spec`` planned,
+        found through each task's record of the specs it serves."""
+        spec_hash = spec.spec_hash
+        (task_id,) = [
+            row["id"]
+            for row in self.manifest["tasks"]
+            if row["stage"] == stage and spec_hash in row["specs"]
+        ]
+        return self.results[task_id]
+
     def format_summary(self) -> str:
         summary = self.summary
         lines = [
@@ -174,31 +185,26 @@ class CampaignEngine:
         :class:`~repro.core.pipeline.ExperimentContext`'s in-memory
         caches across tasks — the table runners pass theirs so
         interactive runs keep working without a store.  A context binds
-        a single seed/scale, so it is only accepted for single-spec
-        plans whose spec agrees with it.
+        one seed and scale, so every spec of the plan must agree with it
+        on both (a table's spec family does).
 
         ``resume_records`` (normally supplied by :meth:`resume`) maps
         task ids to previously settled ``done`` records; those tasks
         are replayed instead of re-executed.
         """
         if context is not None:
-            hashes = {spec.spec_hash for spec in plan.specs}
-            if len(hashes) > 1:
-                raise ValueError(
-                    "a shared context binds one seed/scale; multi-spec plans "
-                    "must run without `context` (each task builds its own)"
-                )
-            if plan.specs and plan.specs[0].seed != context.seed:
-                raise ValueError(
-                    f"context seed {context.seed} does not match the plan's "
-                    f"spec seed {plan.specs[0].seed}"
-                )
-            if plan.specs and not _scales_agree(plan.specs[0].to_scale(), context.scale):
-                raise ValueError(
-                    f"context scale {context.scale.name!r} does not resolve to the "
-                    f"plan's spec scale {plan.specs[0].scale!r}; a mismatch would "
-                    "store artifacts under the wrong cache keys"
-                )
+            for spec in plan.specs:
+                if spec.seed != context.seed:
+                    raise ValueError(
+                        f"context seed {context.seed} does not match the plan's "
+                        f"spec seed {spec.seed}"
+                    )
+                if not _scales_agree(spec.to_scale(), context.scale):
+                    raise ValueError(
+                        f"context scale {context.scale.name!r} does not resolve to the "
+                        f"plan's spec scale {spec.scale!r}; a mismatch would "
+                        "store artifacts under the wrong cache keys"
+                    )
         # One wall-clock stamp for "when" (ISO-8601 UTC) and one
         # monotonic origin for every duration and per-task offset —
         # wall-clock steps (NTP, DST) can never corrupt timings.
@@ -325,8 +331,8 @@ class CampaignEngine:
         if not stages:
             raise ValueError(
                 f"campaign {campaign_id!r} was planned outside plan_campaign "
-                "(table layout or hand-built graph); its journal records "
-                "progress but cannot be resumed"
+                "(a hand-built graph); its journal records progress but "
+                "cannot be resumed"
             )
         specs = [ExperimentSpec.from_dict(entry) for entry in state.header["specs"]]
         plan = plan_campaign(

@@ -72,9 +72,9 @@ class CampaignJournal:
         """The run's opening line: everything resume needs to re-plan.
 
         ``plan.stages`` is recorded when the plan came from
-        :func:`~repro.runtime.plan.plan_campaign`; bespoke plans (table
-        layouts, hand-built graphs) journal ``stages: null`` and are not
-        resumable — their records still survive crashes.
+        :func:`~repro.runtime.plan.plan_campaign` (sweeps and the
+        paper's tables); hand-built graphs journal ``stages: null`` and
+        are not resumable — their records still survive crashes.
         """
         self.append(
             {

@@ -6,12 +6,15 @@ pipeline::
 
     traces → bundle → pretrain → finetune → evaluate
 
-is no longer hard-coded: every stage — built-in, extension or
-user-registered — lives in the
-:data:`~repro.api.stages.STAGE_REGISTRY`, and the planner reads stage
-sets, cache kinds, keys and versions from it.  A spec may also carry its
-own ``pipeline`` (any sweepable registered stages) plus per-stage
-``stage_params``; both participate in the spec's content hash.
+is not hard-coded: every stage — built-in, extension or user-registered
+— lives in the :data:`~repro.api.stages.STAGE_REGISTRY` and declares
+its own parameters, dependencies, cache kind, key and version there.
+One recursive function, :func:`plan_task`, plans any stage task after
+the tasks it depends on; sweeps, the paper's tables (spec families, see
+:mod:`repro.core.pipeline`) and the
+:class:`~repro.api.experiment.Experiment` facade all plan through it.
+A spec may carry its own ``pipeline`` (any registered stages) plus
+per-stage ``stage_params``; both participate in the spec's content hash.
 
 Tasks are deduplicated by the same content-addressed keys the
 :class:`~repro.api.store.ArtifactStore` uses, so two specs sharing a
@@ -39,23 +42,14 @@ import repro.runtime.stages  # noqa: F401
 from repro.api.hashing import stable_hash
 from repro.api.spec import ExperimentSpec
 from repro.api.stages import STAGE_REGISTRY
-from repro.core.finetune import FinetuneMode
-from repro.netsim.scenarios import ScenarioKind
-from repro.runtime.stages import pretrain_params, resolve_variant
 
 __all__ = [
     "StageTask",
     "CampaignPlan",
     "plan_campaign",
-    "plan_table",
+    "plan_task",
     "spec_for_scale",
-    "resolve_variant",
 ]
-
-#: Stage names whose planning is orchestrated as one chain by
-#: :func:`_plan_spec` (conditional dependencies, ablation coupling);
-#: every other registered stage plans generically via its entry.
-_CHAIN_STAGES = ("traces", "bundle", "pretrain", "finetune", "evaluate", "trace_stats")
 
 
 def spec_for_scale(scale, seed: int = 0, scenario: str = "pretrain") -> ExperimentSpec:
@@ -137,8 +131,8 @@ class CampaignPlan:
         self.tasks: dict[str, StageTask] = {}
         #: the campaign-level stage selection, recorded by
         #: :func:`plan_campaign` so journals can re-plan the identical
-        #: graph on resume; ``None`` for bespoke plans (tables, tests),
-        #: which journal records but are not resumable.
+        #: graph on resume; ``None`` for hand-built plans, which
+        #: journal records but are not resumable.
         self.stages: tuple[str, ...] | None = None
 
     def __len__(self) -> int:
@@ -230,7 +224,7 @@ class CampaignPlan:
         return "\n".join(lines)
 
 
-# -- sweep planning ---------------------------------------------------------------
+# -- planning ---------------------------------------------------------------------
 
 
 def plan_campaign(
@@ -238,302 +232,93 @@ def plan_campaign(
     stages: tuple[str, ...] | None = None,
     seed: int = 0,
 ) -> CampaignPlan:
-    """Plan the pipeline for every spec, deduplicated by key.
+    """Plan every spec's stage selection, deduplicated by key.
 
-    ``stages`` restricts the pipeline (e.g. ``("traces",)`` plans a
+    ``stages`` selects registered stages (e.g. ``("traces",)`` plans a
     simulation-only sweep, ``("trace_stats",)`` a statistics fan-out,
     ``("federated_pretrain",)`` a registered extension stage); the
     default is the registry's standard pipeline.  A spec carrying its
     own ``pipeline`` overrides the campaign-level selection for that
-    spec.
+    spec.  Each spec plans the selected stages that apply to it and
+    that no other selected stage depends on, each together with
+    everything it depends on (:func:`plan_task`).
     """
     if stages is None:
         stages = STAGE_REGISTRY.default_pipeline()
-    _validate_sweep_stages(tuple(stages))
+    _validate_stages(tuple(stages))
     plan = CampaignPlan(specs, seed=seed)
     plan.stages = tuple(stages)
     for spec in specs:
-        pipeline = tuple(spec.pipeline) if spec.pipeline is not None else tuple(stages)
+        selection = tuple(spec.pipeline) if spec.pipeline is not None else tuple(stages)
         if spec.pipeline is not None:
-            _validate_sweep_stages(pipeline)
-        before = len(plan.tasks)
-        _plan_spec(plan, spec, set(pipeline))
-        shared = any(
-            spec.spec_hash in task.spec_hashes for task in plan.tasks.values()
-        )
-        if len(plan.tasks) == before and not shared:
-            # e.g. stages=("evaluate",) without the model stages: refuse
-            # to "succeed" with an empty campaign.
+            _validate_stages(selection)
+        targets = _targets(spec, selection)
+        if not targets:
+            # e.g. stages=("finetune",) for the pre-training scenario:
+            # refuse to "succeed" with an empty campaign.
             raise ValueError(
-                f"stages {pipeline} plan no work for spec "
-                f"{spec.scenario!r}; downstream stages need their "
-                f"upstream stages (try the default "
-                f"{STAGE_REGISTRY.default_pipeline()})"
+                f"stages {selection} plan no work for spec {spec.scenario!r} "
+                f"(try the default {STAGE_REGISTRY.default_pipeline()})"
             )
+        for name, params in targets:
+            plan_task(plan, spec, name, params)
     return plan.finalise()
 
 
-def _validate_sweep_stages(stages: tuple[str, ...]) -> None:
-    """Reject stage names that are unregistered or table-only, listing
-    the registered sweepable stages."""
-    allowed = STAGE_REGISTRY.sweep_stages()
-    unknown = set(stages) - set(allowed)
-    if unknown:
-        raise ValueError(
-            f"unknown stages {sorted(unknown)}; choose from the registered "
-            f"sweep stages {allowed}"
-        )
+def plan_task(plan: CampaignPlan, spec: ExperimentSpec, stage: str, params: dict) -> str:
+    """Add one ``stage`` task for ``spec``, after every task it depends
+    on (recursively); returns its id.
 
-
-def _stage_params(spec: ExperimentSpec, name: str) -> dict:
-    """The spec's declared parameters for one stage (may be empty)."""
-    return spec.params_for(name)
-
-
-def _add(
-    plan: CampaignPlan, stage: str, spec: ExperimentSpec, params: dict, deps=()
-) -> str:
-    """Add one registered stage's task, keyed by the stage's own key
-    function (:meth:`~repro.api.stages.Stage.task_key`)."""
+    The task is keyed by the stage's own key function
+    (:meth:`~repro.api.stages.Stage.task_key`), so planning a task that
+    already exists merges into it.
+    """
     entry = STAGE_REGISTRY.get(stage)
+    deps = tuple(
+        plan_task(plan, spec, name, dep_params)
+        for name, dep_params in entry.dependencies(spec, params)
+    )
     return plan.add(
         stage, spec, params, kind=entry.kind, key=entry.task_key(spec, params), deps=deps
     )
 
 
-def _plan_traces(plan: CampaignPlan, spec: ExperimentSpec, scenario: str) -> str:
-    return _add(plan, "traces", spec, {"scenario": scenario})
-
-
-def _plan_bundle(
-    plan: CampaignPlan, spec: ExperimentSpec, scenario: str, stages: set
-) -> str:
-    """Plan a bundle task (plus its traces and, for fine-tuning
-    scenarios, the pre-training bundle that donates receiver ids)."""
-    deps = []
-    if "traces" in stages:
-        deps.append(_plan_traces(plan, spec, scenario))
-    if scenario != ScenarioKind.PRETRAIN:
-        deps.append(_plan_bundle(plan, spec, ScenarioKind.PRETRAIN, stages))
-    return _add(plan, "bundle", spec, {"scenario": scenario}, deps=tuple(deps))
-
-
-def _plan_pretrain(
-    plan: CampaignPlan,
-    spec: ExperimentSpec,
-    stages: set,
-    features: str | None = None,
-    aggregation: str | None = None,
-    precision: str | None = None,
-) -> str:
-    deps = []
-    if "bundle" in stages:
-        deps.append(_plan_bundle(plan, spec, ScenarioKind.PRETRAIN, stages))
-    params = pretrain_params(spec, features, aggregation, precision)
-    return _add(plan, "pretrain", spec, params, deps=tuple(deps))
-
-
-def _plan_finetune(
-    plan: CampaignPlan,
-    spec: ExperimentSpec,
-    scenario: str,
-    stages: set,
-    task: str = "delay",
-    mode: str = FinetuneMode.DECODER_ONLY,
-    fraction: float | None = None,
-    features: str | None = None,
-    aggregation: str | None = None,
-    precision: str | None = None,
-) -> str:
-    deps = [_plan_pretrain(plan, spec, stages, features, aggregation)]
-    if "bundle" in stages:
-        deps.append(_plan_bundle(plan, spec, scenario, stages))
-    params = {
-        "scenario": scenario,
-        "task": task,
-        "mode": mode,
-        "fraction": fraction,
-        "features": features,
-        "aggregation": aggregation,
-    }
-    precision = precision or spec.params_for("finetune").get("precision", "float64")
-    if precision != "float64":
-        params["precision"] = precision
-    return _add(plan, "finetune", spec, params, deps=tuple(deps))
-
-
-def _plan_spec(plan: CampaignPlan, spec: ExperimentSpec, stages: set) -> None:
-    """Plan one spec: the built-in chain for the stages it covers, then
-    every other registered stage generically."""
-    scenario = spec.scenario
-    if "trace_stats" in stages:
-        plan.add("trace_stats", spec, {"scenario": scenario})
-    model_task = None
-    if "pretrain" in stages:
-        model_task = _plan_pretrain(plan, spec, stages)
-    elif "bundle" in stages:
-        _plan_bundle(plan, spec, scenario, stages)
-    elif "traces" in stages:
-        _plan_traces(plan, spec, scenario)
-    if (
-        "finetune" in stages
-        and model_task is not None
-        and scenario != ScenarioKind.PRETRAIN
-    ):
-        model_task = _plan_finetune(plan, spec, scenario, stages)
-    if "evaluate" in stages and model_task is not None:
-        params = {
-            "scenario": scenario,
-            "task": "delay",
-            "model_key": plan.tasks[model_task].key,
-        }
-        _add(plan, "evaluate", spec, params, deps=(model_task,))
-    # Registered non-chain stages (extensions, user plugins), planned in
-    # registration order for determinism.
-    for name in STAGE_REGISTRY.all_stages():
-        if name in stages and name not in _CHAIN_STAGES:
-            _plan_registered(plan, spec, name)
-
-
-def _plan_registered(plan: CampaignPlan, spec: ExperimentSpec, name: str) -> str:
-    """Generic planning for a registered stage: plan its declared
-    dependencies recursively, then add one task keyed by the stage's
-    versioned content address."""
-    stage = STAGE_REGISTRY.get(name)
-    if stage.plan_fn is not None:
-        return stage.plan_fn(plan, spec, _stage_params(spec, name))
-    deps = tuple(_plan_dep(plan, spec, dep) for dep in stage.deps)
-    return _add(plan, name, spec, _stage_params(spec, name), deps=deps)
-
-
-def _plan_dep(plan: CampaignPlan, spec: ExperimentSpec, name: str) -> str:
-    """Plan one dependency stage for a spec.
-
-    Chain stages route through their bespoke planners with the full
-    standard pipeline active (a custom stage depending on ``pretrain``
-    gets the whole traces→bundle→pretrain chain); other registered
-    stages recurse through :func:`_plan_registered`.
-    """
-    chain = set(STAGE_REGISTRY.default_pipeline())
-    if name == "traces":
-        return _plan_traces(plan, spec, spec.scenario)
-    if name == "bundle":
-        return _plan_bundle(plan, spec, spec.scenario, chain)
-    if name == "pretrain":
-        return _plan_pretrain(plan, spec, chain)
-    if name == "finetune":
-        return _plan_finetune(plan, spec, spec.scenario, chain)
-    if name in _CHAIN_STAGES:
+def _validate_stages(stages: tuple[str, ...]) -> None:
+    """Reject unregistered stage names, listing the registered ones."""
+    unknown = sorted(name for name in set(stages) if name not in STAGE_REGISTRY)
+    if unknown:
         raise ValueError(
-            f"stage {name!r} cannot be declared as a dependency; depend on "
-            "'traces', 'bundle', 'pretrain' or 'finetune' instead"
+            f"unknown stages {unknown}; choose from the registered "
+            f"stages {STAGE_REGISTRY.sweep_stages()}"
         )
-    return _plan_registered(plan, spec, name)
 
 
-# -- table planning ---------------------------------------------------------------
+def _targets(spec: ExperimentSpec, selection: tuple[str, ...]) -> list:
+    """The ``(stage, params)`` tasks a spec plans for its selection.
 
-
-def plan_table(table: int, spec: ExperimentSpec, seed: int = 0):
-    """Plan one of the paper's tables as a campaign.
-
-    Returns ``(plan, layout)`` where ``layout`` maps logical unit names
-    (used by the table assemblers in :mod:`repro.core.pipeline`) to task
-    ids.
+    A selected stage that does not apply to the spec is dropped, and one
+    that another selected stage depends on is planned as that
+    dependency; the rest follow the registry's ``sweep_stages`` order
+    (the standard pipeline first).
     """
-    planners = {1: _plan_table1, 2: _plan_table2, 3: _plan_table3}
-    try:
-        planner = planners[int(table)]
-    except (KeyError, ValueError):
-        raise ValueError(f"unknown table {table!r}; choose from {sorted(planners)}") from None
-    plan = CampaignPlan([spec], seed=seed)
-    layout = planner(plan, spec)
-    return plan.finalise(), layout
+    chosen = {}
+    for name in STAGE_REGISTRY.sweep_stages():
+        if name in selection:
+            params = STAGE_REGISTRY.get(name).params_for(spec)
+            if params is not None:
+                chosen[name] = params
+    upstream = {name: _upstream(spec, name, params) for name, params in chosen.items()}
+    return [
+        (name, params)
+        for name, params in chosen.items()
+        if not any(name in upstream[other] for other in chosen if other != name)
+    ]
 
 
-def _plan_scratch(
-    plan: CampaignPlan,
-    spec: ExperimentSpec,
-    scenario: str,
-    task: str,
-    fraction: float | None,
-    stages: set,
-) -> str:
-    deps = (
-        _plan_pretrain(plan, spec, stages),  # donates the fitted pipeline
-        _plan_bundle(plan, spec, scenario, stages),
-    )
-    params = {"scenario": scenario, "task": task, "fraction": fraction}
-    return _add(plan, "scratch", spec, params, deps=deps)
-
-
-def _plan_baselines(plan: CampaignPlan, spec: ExperimentSpec, scenario: str, stages: set) -> str:
-    deps = (_plan_bundle(plan, spec, scenario, stages),)
-    return _add(plan, "baselines", spec, {"scenario": scenario}, deps=deps)
-
-
-#: Table 1's ablation rows → symbolic variant tokens.
-TABLE1_VARIANTS = {
-    "no_aggregation": {"aggregation": "none"},
-    "fixed_aggregation": {"aggregation": "fixed"},
-    "without_packet_size": {"features": "without_size"},
-    "without_delay": {"features": "without_delay"},
-}
-
-
-def _plan_table1(plan: CampaignPlan, spec: ExperimentSpec) -> dict:
-    stages = set(STAGE_REGISTRY.default_pipeline())
-    fraction = spec.to_scale().fine_fraction
-    case1 = ScenarioKind.CASE1
-    layout = {
-        "pretrain": _plan_pretrain(plan, spec, stages),
-        "ft_delay": _plan_finetune(plan, spec, case1, stages, task="delay", fraction=fraction),
-        "ft_mct": _plan_finetune(plan, spec, case1, stages, task="mct", fraction=fraction),
-        "scratch_delay": _plan_scratch(plan, spec, case1, "delay", fraction, stages),
-        "scratch_mct": _plan_scratch(plan, spec, case1, "mct", fraction, stages),
-        "baselines_pretrain": _plan_baselines(plan, spec, ScenarioKind.PRETRAIN, stages),
-        "baselines_case1": _plan_baselines(plan, spec, case1, stages),
-        "variants": {},
-    }
-    for name, tokens in TABLE1_VARIANTS.items():
-        layout["variants"][name] = {
-            "pretrain": _plan_pretrain(plan, spec, stages, **tokens),
-            "ft_delay": _plan_finetune(
-                plan, spec, case1, stages, task="delay", fraction=fraction, **tokens
-            ),
-            "ft_mct": _plan_finetune(
-                plan, spec, case1, stages, task="mct", fraction=fraction, **tokens
-            ),
-        }
-    return layout
-
-
-def _plan_table2(plan: CampaignPlan, spec: ExperimentSpec) -> dict:
-    stages = set(STAGE_REGISTRY.default_pipeline())
-    fraction = spec.to_scale().fine_fraction
-    case1 = ScenarioKind.CASE1
-    return {
-        "pretrain": _plan_pretrain(plan, spec, stages),
-        "pretrained_full": _plan_finetune(plan, spec, case1, stages, fraction=None),
-        "pretrained_10pct": _plan_finetune(plan, spec, case1, stages, fraction=fraction),
-        "scratch_full": _plan_scratch(plan, spec, case1, "delay", None, stages),
-        "scratch_10pct": _plan_scratch(plan, spec, case1, "delay", fraction, stages),
-    }
-
-
-def _plan_table3(plan: CampaignPlan, spec: ExperimentSpec) -> dict:
-    stages = set(STAGE_REGISTRY.default_pipeline())
-    fraction = spec.to_scale().fine_fraction
-    case2 = ScenarioKind.CASE2
-    full = FinetuneMode.FULL
-    return {
-        "pretrain": _plan_pretrain(plan, spec, stages),
-        "pretrained_full": _plan_finetune(plan, spec, case2, stages, mode=full, fraction=None),
-        "pretrained_10pct": _plan_finetune(plan, spec, case2, stages, mode=full, fraction=fraction),
-        "scratch_full": _plan_scratch(plan, spec, case2, "delay", None, stages),
-        "scratch_10pct": _plan_scratch(plan, spec, case2, "delay", fraction, stages),
-        "baselines_case2": _plan_baselines(plan, spec, case2, stages),
-        "without_receiver_id": _plan_finetune(
-            plan, spec, case2, stages, mode=full, fraction=None, features="without_receiver"
-        ),
-    }
+def _upstream(spec: ExperimentSpec, stage: str, params: dict) -> set:
+    """Names of every stage one task depends on, transitively."""
+    names = set()
+    for name, dep_params in STAGE_REGISTRY.get(stage).dependencies(spec, params):
+        names.add(name)
+        names |= _upstream(spec, name, dep_params)
+    return names

@@ -1,11 +1,10 @@
 """Built-in stage implementations, registered in the stage registry.
 
-The eight stages that used to live in a private dictionary inside
-:mod:`repro.runtime.worker` are now first-class
-:class:`~repro.api.stages.Stage` plugins: the planner
-(:mod:`repro.runtime.plan`) reads their kind/key/version from the
-registry, the worker dispatches through it, and custom stages registered
-with :func:`~repro.api.stages.register_stage` ride the exact same rails.
+The built-in stages are ordinary :class:`~repro.api.stages.Stage`
+plugins: the planner (:mod:`repro.runtime.plan`) reads their params,
+dependencies, kind, key and version from the registry, the worker
+dispatches through it, and custom stages registered with
+:func:`~repro.api.stages.register_stage` ride the exact same rails.
 
 Every stage body has the signature ``run(experiment, inputs, params)``
 and returns ``(cache_hit, result)`` where ``result`` is a flat JSON-able
@@ -28,10 +27,10 @@ plugin; the planner keys every task through
 writes its artifact under exactly that ``params["key"]`` — through the
 context's key → artifact memo, then the store.  Upstream artifacts come
 from the :class:`~repro.api.experiment.Experiment` facade, which plans
-the same sub-graph with the same planner functions and derives no key
-of its own.  The one key a planner cannot know is a fine-tuning
-bundle's store key (it covers the pre-training receiver index), so only
-the ``bundle`` stage derives it (:func:`_bundle_store_key`).
+the same sub-graph with the same planner and derives no key of its own.
+The one key a planner cannot know is a fine-tuning bundle's store key
+(it covers the pre-training receiver index), so only the ``bundle``
+stage derives it (:func:`_bundle_store_key`).
 
 The training stages accept a ``precision`` stage parameter
 (``ExperimentSpec(stage_params={"pretrain": {"precision": "float32"}})``
@@ -48,6 +47,7 @@ import copy
 import numpy as np
 
 from repro.api.hashing import stable_hash
+from repro.api.predictor import Predictor
 from repro.api.stages import STAGE_REGISTRY, register_stage
 from repro.api.store import (
     bundle_key,
@@ -61,6 +61,7 @@ from repro.api.store import (
 from repro.core.baselines import evaluate_baselines
 from repro.core.features import FeaturePipeline, FeatureSpec
 from repro.core.finetune import (
+    FinetuneMode,
     finetune_delay,
     finetune_mct,
     train_delay_from_scratch,
@@ -76,7 +77,13 @@ from repro.netsim.scenarios import (
 )
 from repro.utils.stats import percentile_summary
 
-__all__ = ["resolve_variant", "variant_tokens", "pretrain_params", "load_artifact"]
+__all__ = [
+    "resolve_variant",
+    "variant_tokens",
+    "base_params",
+    "finetune_params",
+    "load_artifact",
+]
 
 #: Feature-ablation tokens (kept symbolic so task parameters stay JSON).
 _FEATURE_VARIANTS = {
@@ -134,27 +141,106 @@ def _token_for(what: str, value, choices: dict) -> str:
     )
 
 
+# -- parameters and dependencies -------------------------------------------------
+#
+# A task's parameters are its stage's defaults (params_fn) overlaid with
+# the spec's stage_params; each stage derives its dependencies, as
+# (stage, params) pairs, from its own parameters.
+
+
+def _scenario_defaults(spec) -> dict:
+    return {"scenario": spec.scenario}
+
+
+#: Fine-tuning parameters besides the target scenario.
+_FINETUNE_DEFAULTS = {
+    "task": "delay",
+    "mode": FinetuneMode.DECODER_ONLY,
+    "fraction": None,
+    "features": None,
+    "aggregation": None,
+}
+
+
+def _finetune_defaults(spec) -> dict | None:
+    # The pre-training environment has nothing to fine-tune for.
+    return None if spec.scenario == ScenarioKind.PRETRAIN else finetune_params(spec)
+
+
+def _scratch_defaults(spec) -> dict:
+    return {"scenario": spec.scenario, "task": "delay", "fraction": None}
+
+
+def _evaluate_defaults(spec) -> dict:
+    return {"scenario": spec.scenario, "task": "delay"}
+
+
+def finetune_params(spec, **overrides) -> dict:
+    """The ``finetune`` task parameters for one spec with ``overrides``
+    applied — on any scenario, the pre-training one included."""
+    return {
+        "scenario": spec.scenario,
+        **_FINETUNE_DEFAULTS,
+        **spec.params_for("finetune"),
+        **overrides,
+    }
+
+
+def base_params(spec, params: dict) -> dict:
+    """The ``pretrain`` parameters of the model a fine-tune starts from.
+
+    Without ablation tokens that is the spec's own pre-trained model
+    (its precision knob included); an ablation variant always trains at
+    the default precision.
+    """
+    features, aggregation = params.get("features"), params.get("aggregation")
+    if features is None and aggregation is None:
+        return STAGE_REGISTRY.get("pretrain").params_for(spec)
+    return {"features": features, "aggregation": aggregation}
+
+
+def _bundle_deps(spec, params: dict):
+    # A fine-tuning bundle inherits the pre-training receiver index.
+    yield "traces", {"scenario": params["scenario"]}
+    if params["scenario"] != ScenarioKind.PRETRAIN:
+        yield "bundle", {"scenario": ScenarioKind.PRETRAIN}
+
+
+def _pretrain_deps(spec, params: dict):
+    yield "bundle", {"scenario": ScenarioKind.PRETRAIN}
+
+
+def _finetune_deps(spec, params: dict):
+    yield "pretrain", base_params(spec, params)
+    yield "bundle", {"scenario": params["scenario"]}
+
+
+def _scratch_deps(spec, params: dict):
+    # The pre-trained model donates the fitted feature pipeline.
+    yield "pretrain", base_params(spec, {})
+    yield "bundle", {"scenario": params["scenario"]}
+
+
+def _baselines_deps(spec, params: dict):
+    yield "bundle", {"scenario": params["scenario"]}
+
+
+def _evaluate_deps(spec, params: dict):
+    """The model an evaluation scores: the pre-trained model on its own
+    environment's delay task, the spec's fine-tune everywhere else."""
+    scenario, task = params["scenario"], params["task"]
+    if scenario == ScenarioKind.PRETRAIN and task == "delay":
+        yield "pretrain", STAGE_REGISTRY.get("pretrain").params_for(spec)
+    else:
+        yield "finetune", finetune_params(spec, scenario=scenario, task=task)
+
+
 # -- key functions ----------------------------------------------------------------
 #
 # One function per stage derives its artifact's content address; the
 # planner applies the stage version through Stage.task_key, and a key
 # that builds on another stage's artifact (a fine-tune on its base
 # model) calls that stage's task_key rather than re-deriving it.
-
-
-def pretrain_params(spec, features=None, aggregation=None, precision=None) -> dict:
-    """The ``pretrain`` task parameters for one spec.
-
-    Ablation variants always train at the default precision; the
-    spec-level knob (or an explicit ``precision``) addresses only the
-    shared pre-trained model, and float64 stays out of the parameters.
-    """
-    params = {"features": features, "aggregation": aggregation}
-    if features is None and aggregation is None:
-        precision = precision or spec.params_for("pretrain").get("precision", "float64")
-        if precision != "float64":
-            params["precision"] = precision
-    return params
 
 
 def _traces_key(spec, params: dict) -> str:
@@ -199,9 +285,7 @@ def _pretrain_key(spec, params: dict) -> str:
 
 def _base_key(spec, params: dict) -> str:
     """The ``pretrain`` task key of the model a fine-tune starts from."""
-    return STAGE_REGISTRY.get("pretrain").task_key(
-        spec, pretrain_params(spec, params.get("features"), params.get("aggregation"))
-    )
+    return STAGE_REGISTRY.get("pretrain").task_key(spec, base_params(spec, params))
 
 
 def _finetune_key(spec, params: dict) -> str:
@@ -246,8 +330,11 @@ def _baselines_key(spec, params: dict) -> str:
 
 
 def _evaluate_key(spec, params: dict) -> str:
+    ((stage, model_params),) = _evaluate_deps(spec, params)
     return evaluation_key(
-        params["model_key"], spec.scenario_config(params["scenario"]), params["task"]
+        STAGE_REGISTRY.get(stage).task_key(spec, model_params),
+        spec.scenario_config(params["scenario"]),
+        params["task"],
     )
 
 
@@ -333,21 +420,14 @@ def _mct_pipeline(pre) -> FeaturePipeline:
     return pipeline
 
 
-# -- the standard pipeline --------------------------------------------------------
-#
-# Planning for these stages is bespoke (conditional dependencies, the
-# pre-training receiver coupling, ablation variants): repro.runtime.plan
-# orchestrates them as one chain (_plan_spec / _plan_dep) rather than
-# through the generic per-entry planner, and custom stages may declare
-# dependencies on 'traces' / 'bundle' / 'pretrain' / 'finetune' to pull
-# that chain in.  The registry entries below own everything else:
-# dispatch, kind, key, version and the stage sets.
+# -- the stages -------------------------------------------------------------------
 
 
 @register_stage(
     "traces",
     kind="traces",
     key_fn=_traces_key,
+    params_fn=_scenario_defaults,
     default=True,
     description="raw simulation traces for one scenario",
 )
@@ -390,9 +470,10 @@ def _stage_traces(experiment, inputs, params):
 
 @register_stage(
     "bundle",
-    deps=("traces",),
+    deps=_bundle_deps,
     kind="bundles",
     key_fn=_bundle_plan_key,
+    params_fn=_scenario_defaults,
     default=True,
     description="windowed dataset bundle for one scenario",
 )
@@ -424,7 +505,7 @@ def _stage_bundle(experiment, inputs, params):
 
 @register_stage(
     "pretrain",
-    deps=("bundle",),
+    deps=_pretrain_deps,
     kind="checkpoints",
     key_fn=_pretrain_key,
     default=True,
@@ -473,9 +554,10 @@ def _finetune_data(experiment, params: dict):
 
 @register_stage(
     "finetune",
-    deps=("pretrain", "bundle"),
+    deps=_finetune_deps,
     kind="checkpoints",
     key_fn=_finetune_key,
+    params_fn=_finetune_defaults,
     default=True,
     description="fine-tune the pre-trained NTT on a target scenario",
 )
@@ -509,11 +591,11 @@ def _stage_finetune(experiment, inputs, params):
 
 @register_stage(
     "scratch",
-    deps=("pretrain", "bundle"),
+    deps=_scratch_deps,
     kind="checkpoints",
     key_fn=_scratch_key,
-    sweepable=False,
-    description="the paper's from-scratch rows (table planners only)",
+    params_fn=_scratch_defaults,
+    description="train the NTT from scratch on a target scenario (Tables 1-3)",
 )
 def _stage_scratch(experiment, inputs, params):
     """The paper's from-scratch rows: full training, no pre-trained
@@ -538,11 +620,11 @@ def _stage_scratch(experiment, inputs, params):
 
 @register_stage(
     "baselines",
-    deps=("bundle",),
+    deps=_baselines_deps,
     kind="evaluations",
     key_fn=_baselines_key,
-    sweepable=False,
-    description="naive baseline evaluations (table planners only)",
+    params_fn=_scenario_defaults,
+    description="naive baseline evaluations on a scenario's test set",
 )
 def _stage_baselines(experiment, inputs, params):
     store, key = experiment.store, params["key"]
@@ -559,15 +641,17 @@ def _stage_baselines(experiment, inputs, params):
 
 @register_stage(
     "evaluate",
-    deps=("finetune",),
+    deps=_evaluate_deps,
     kind="evaluations",
     key_fn=_evaluate_key,
+    params_fn=_evaluate_defaults,
     default=True,
     description="the spec's model vs. the naive baselines on its test set",
 )
 def _stage_evaluate(experiment, inputs, params):
-    """Terminal sweep stage: the spec's model vs. the naive baselines on
-    its scenario's held-out test set (cached as a JSON evaluation)."""
+    """Terminal sweep stage: the model this task's key names (its
+    declared dependency) vs. the naive baselines on its scenario's
+    held-out test set (cached as a JSON evaluation)."""
     store, key = experiment.store, params["key"]
     if store is not None:
         cached = store.get_json("evaluations", key)
@@ -575,12 +659,10 @@ def _stage_evaluate(experiment, inputs, params):
             return True, cached
     scenario = params["scenario"]
     task = params["task"]
-    if scenario == ScenarioKind.PRETRAIN and task == "delay":
-        predictor = experiment.predictor(scenario=scenario)
-    else:
-        predictor = experiment.predictor(
-            scenario=scenario, task=task, mode=params.get("mode", "decoder_only")
-        )
+    ((stage, model_params),) = _evaluate_deps(experiment.spec, params)
+    model = experiment.artifact(stage, model_params)
+    result, pipeline = (model, model.pipeline) if stage == "pretrain" else model
+    predictor = Predictor(result.model, pipeline, task=task)
     test = experiment.bundle(scenario).test
     if task == "mct":
         test = test.with_completed_messages_only()
@@ -600,6 +682,7 @@ def _stage_evaluate(experiment, inputs, params):
 
 @register_stage(
     "trace_stats",
+    params_fn=_scenario_defaults,
     description="Fig. 4-style per-scenario trace statistics",
 )
 def _stage_trace_stats(experiment, inputs, params):

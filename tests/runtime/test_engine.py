@@ -170,12 +170,25 @@ class TestEngineConfiguration:
         assert engine.effective_workers(plan.ordered()) == len(plan)
 
     def test_shared_context_rejected_for_multi_spec_plans(self):
-        from repro.core.pipeline import ExperimentContext, get_scale
+        # The second spec of the plan disagrees with the context's seed.
+        from repro.core.pipeline import ExperimentContext
 
         plan = plan_campaign(fast_specs(seeds=(0, 1)))
-        context = ExperimentContext(get_scale("smoke"))
-        with pytest.raises(ValueError, match="multi-spec"):
+        context = ExperimentContext(plan.specs[0].to_scale(), seed=0)
+        with pytest.raises(ValueError, match="seed"):
             CampaignEngine(store=None).run(plan, context=context)
+
+    def test_shared_context_accepts_agreeing_multi_spec_plans(self, store):
+        # A context binds one seed and scale; specs that differ only in
+        # scenario or stage selection (a table's family) share it.
+        from repro.core.pipeline import ExperimentContext
+
+        specs = fast_specs(["pretrain", "case1"])
+        plan = plan_campaign(specs, stages=("traces",))
+        context = ExperimentContext(specs[0].to_scale(), store=store)
+        result = CampaignEngine(store=store).run(plan, context=context)
+        assert result.ok
+        assert result.summary["done"] == 2
 
     def test_shared_context_seed_mismatch_rejected(self):
         from repro.core.pipeline import ExperimentContext, get_scale
@@ -188,10 +201,10 @@ class TestEngineConfiguration:
     def test_shared_context_scale_mismatch_rejected(self, store):
         # A smoke-trained context bound to a small-scale plan would
         # persist smoke artifacts under small-scale cache keys.
-        from repro.core.pipeline import ExperimentContext, get_scale
-        from repro.runtime import spec_for_scale, plan_table
+        from repro.core.pipeline import ExperimentContext, get_scale, table_specs
+        from repro.runtime import spec_for_scale
 
-        plan, _layout = plan_table(2, spec_for_scale(get_scale("small")))
+        plan = plan_campaign(table_specs(2, spec_for_scale(get_scale("small"))))
         context = ExperimentContext(get_scale("smoke"), store=store)
         with pytest.raises(ValueError, match="scale"):
             CampaignEngine(store=store).run(plan, context=context)

@@ -400,3 +400,78 @@ class TestResumeCLI:
         ])
         assert code == 0
         assert "resumed" in capsys.readouterr().out
+
+
+#: Fields that record how long something took, not what it computed.
+_TIMING_FIELDS = ("training_time_s", "wall_time", "training_time")
+
+
+def _without_timing(value):
+    if isinstance(value, dict):
+        return {
+            key: _without_timing(item)
+            for key, item in value.items()
+            if key not in _TIMING_FIELDS
+        }
+    if isinstance(value, list):
+        return [_without_timing(item) for item in value]
+    return value
+
+
+def _artifact_contents(root: Path) -> dict:
+    """Every stored artifact (campaign records excluded), its npz arrays
+    as raw bytes and its JSON minus timing fields."""
+    contents = {}
+    for path in sorted(root.rglob("*")):
+        relative = path.relative_to(root)
+        if not path.is_file() or relative.parts[0] == "manifests":
+            continue
+        if path.suffix == ".npz":
+            with np.load(path) as data:
+                contents[str(relative)] = {
+                    name: _without_timing(json.loads(data[name].tobytes()))
+                    if name == "__meta__"
+                    else (data[name].dtype.str, data[name].shape, data[name].tobytes())
+                    for name in data.files
+                }
+        else:
+            contents[str(relative)] = _without_timing(json.loads(path.read_text()))
+    return contents
+
+
+class TestTableResume:
+    def test_interrupted_table_resumes_bit_identically(self, tmp_path, monkeypatch):
+        from repro.api import ExperimentSpec
+        from repro.core.pipeline import (
+            ExperimentContext,
+            run_table2,
+            table_rows,
+            table_specs,
+        )
+        from repro.runtime import spec_for_scale
+
+        scale = ExperimentSpec(scale="smoke", pretrain=FAST, finetune=FAST).to_scale()
+        spec = spec_for_scale(scale)
+        store = ArtifactStore(tmp_path / "faulted")
+        engine = CampaignEngine(store=store, retries=0)
+        monkeypatch.setenv(FAULT_SPEC_ENV, "scratch@0:raise")
+        with pytest.raises(RuntimeError, match="scratch"):
+            run_table2(scale, ExperimentContext(scale, store=store), engine=engine)
+        monkeypatch.delenv(FAULT_SPEC_ENV)
+
+        campaign_id = plan_campaign(table_specs(2, spec)).campaign_id
+        state = read_journal(store.journal_path(campaign_id))
+        assert state.header["stages"] is not None
+        assert {record["stage"] for record in state.records.values()
+                if record["status"] == "error"} == {"scratch"}
+        resumed = engine.resume(campaign_id)
+        assert resumed.ok
+        assert resumed.manifest["resumed_tasks"]
+
+        fresh_store = ArtifactStore(tmp_path / "fresh")
+        fresh_rows = run_table2(scale, ExperimentContext(scale, store=fresh_store))
+        rows = table_rows(2, spec, resumed)
+        assert _without_timing(rows) == _without_timing(fresh_rows)
+        artifacts = _artifact_contents(store.root)
+        assert sum(name.startswith("checkpoints") for name in artifacts) == 5
+        assert artifacts == _artifact_contents(fresh_store.root)

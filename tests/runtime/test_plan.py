@@ -3,8 +3,8 @@
 import pytest
 
 from repro.api import ExperimentSpec
-from repro.runtime import expand_grid, plan_campaign, plan_table, spec_for_scale
-from repro.core.pipeline import get_scale
+from repro.runtime import expand_grid, plan_campaign, spec_for_scale
+from repro.core.pipeline import TABLE1_VARIANTS, get_scale, table_specs
 
 
 def stages_of(plan):
@@ -61,18 +61,39 @@ class TestPlanCampaign:
         with pytest.raises(ValueError, match="unknown stages"):
             plan_campaign([ExperimentSpec(scale="smoke")], stages=("simulate",))
 
-    def test_table_only_stages_rejected_for_sweeps(self):
-        with pytest.raises(ValueError, match="unknown stages"):
-            plan_campaign([ExperimentSpec(scale="smoke")], stages=("baselines",))
+    def test_table_stages_plan_in_sweeps(self):
+        # The tables' stages are ordinary stages: a sweep selecting one
+        # plans it with its dependencies.
+        plan = plan_campaign([ExperimentSpec(scale="smoke")], stages=("baselines",))
+        assert stages_of(plan) == {"traces": 1, "bundle": 1, "baselines": 1}
 
     def test_unproductive_stage_subset_rejected(self):
-        # 'evaluate' without its model stages would plan an empty
-        # campaign that "succeeds" doing nothing.
+        # 'finetune' does not apply to the pre-training scenario, so
+        # this selection would plan an empty campaign that "succeeds"
+        # doing nothing.
         with pytest.raises(ValueError, match="plan no work"):
             plan_campaign(
-                [ExperimentSpec(scenario="case1", scale="smoke")],
-                stages=("evaluate",),
+                [ExperimentSpec(scenario="pretrain", scale="smoke")],
+                stages=("finetune",),
             )
+
+    def test_selection_plans_its_dependencies(self):
+        # 'evaluate' alone plans the whole chain it depends on.
+        spec = ExperimentSpec(scenario="case1", scale="smoke")
+        alone = plan_campaign([spec], stages=("evaluate",))
+        assert [t.id for t in alone.ordered()] == [t.id for t in plan_campaign([spec]).ordered()]
+
+    def test_evaluate_names_the_model_it_evaluates(self):
+        # Without 'finetune' selected, a case1 evaluation still scores
+        # (and is keyed by) the fine-tuned model, as in the default sweep.
+        spec = ExperimentSpec(scenario="case1", scale="smoke")
+        plan = plan_campaign([spec], stages=("traces", "bundle", "pretrain", "evaluate"))
+        assert stages_of(plan)["finetune"] == 1
+        (evaluate,) = [t for t in plan.ordered() if t.stage == "evaluate"]
+        (default,) = [t for t in plan_campaign([spec]).ordered() if t.stage == "evaluate"]
+        assert evaluate.key == default.key
+        (model,) = evaluate.deps
+        assert model.startswith("finetune:")
 
     def test_campaign_id_stable(self):
         specs = expand_grid(scenarios=["case1"], scales=["smoke"], seeds=[0])
@@ -104,33 +125,48 @@ class TestSpecForScale:
         assert spec.seed == 3
 
 
+def _table_plan(table):
+    return plan_campaign(table_specs(table, spec_for_scale(get_scale("smoke"))))
+
+
 class TestPlanTable:
     def test_table1_layout_covers_all_rows(self):
-        plan, layout = plan_table(1, spec_for_scale(get_scale("smoke")))
-        assert set(layout["variants"]) == {
+        assert set(TABLE1_VARIANTS) == {
             "no_aggregation",
             "fixed_aggregation",
             "without_packet_size",
             "without_delay",
         }
-        counts = stages_of(plan)
+        counts = stages_of(_table_plan(1))
         assert counts["pretrain"] == 5  # base + four ablations
         assert counts["finetune"] == 10  # delay+mct for base and each variant
         assert counts["scratch"] == 2
         assert counts["baselines"] == 2
 
     def test_table2_layout(self):
-        plan, layout = plan_table(2, spec_for_scale(get_scale("smoke")))
-        assert {"pretrained_full", "pretrained_10pct", "scratch_full", "scratch_10pct"} <= set(
-            layout
-        )
-        assert stages_of(plan)["pretrain"] == 1
+        specs = table_specs(2, spec_for_scale(get_scale("smoke")))
+        assert sorted(spec.pipeline for spec in specs) == [
+            ("finetune",), ("finetune",), ("scratch",), ("scratch",),
+        ]
+        assert stages_of(plan_campaign(specs))["pretrain"] == 1
 
     def test_table3_includes_receiver_ablation(self):
-        plan, layout = plan_table(3, spec_for_scale(get_scale("smoke")))
-        assert "without_receiver_id" in layout
-        assert stages_of(plan)["pretrain"] == 2  # base + without_receiver
+        specs = table_specs(3, spec_for_scale(get_scale("smoke")))
+        assert any(
+            spec.params_for("finetune").get("features") == "without_receiver"
+            for spec in specs
+        )
+        assert stages_of(plan_campaign(specs))["pretrain"] == 2  # base + without_receiver
 
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError, match="unknown table"):
-            plan_table(9, spec_for_scale(get_scale("smoke")))
+            table_specs(9, spec_for_scale(get_scale("smoke")))
+
+    def test_tables_journal_their_stage_selection(self):
+        # A table plans through plan_campaign, so resume can re-plan it.
+        for table in (1, 2, 3):
+            plan = _table_plan(table)
+            assert plan.stages is not None
+            specs = [ExperimentSpec.from_dict(spec.to_dict()) for spec in plan.specs]
+            again = plan_campaign(specs, stages=plan.stages)
+            assert again.campaign_id == plan.campaign_id

@@ -6,10 +6,12 @@ facade must resolve an artifact to the same task the planner would
 schedule for it.  Nothing else may land in the store.
 """
 
+import numpy as np
 import pytest
 
-from repro.api import ArtifactStore, Experiment, ExperimentSpec, TrainSettings
-from repro.runtime import CampaignEngine, plan_campaign, plan_table
+from repro.api import ArtifactStore, Experiment, ExperimentSpec, Predictor, TrainSettings
+from repro.core.pipeline import table_specs
+from repro.runtime import CampaignEngine, plan_campaign
 
 FAST = TrainSettings(epochs=1, batch_size=32, patience=None)
 
@@ -43,7 +45,7 @@ class TestStagesStoreUnderPlannedKeys:
         _assert_stored_under_planned_keys(plan, store)
 
     def test_table2(self, store):
-        plan, _layout = plan_table(2, _spec("pretrain"))
+        plan = plan_campaign(table_specs(2, _spec("pretrain")))
         assert CampaignEngine(store=store).run(plan).ok
         _assert_stored_under_planned_keys(plan, store)
 
@@ -57,3 +59,19 @@ class TestStagesStoreUnderPlannedKeys:
         }
         assert set(store.keys("checkpoints")) == planned
         assert store.keys("evaluations") == []
+
+    def test_evaluation_scores_the_model_its_key_names(self, store):
+        # Planned without 'finetune', a case1 evaluation still depends
+        # on (and is keyed by) a fine-tune, and its body scores exactly
+        # the checkpoint stored under that dependency's key.
+        spec = _spec("case1")
+        plan = plan_campaign([spec], stages=("traces", "bundle", "pretrain", "evaluate"))
+        result = CampaignEngine(store=store).run(plan)
+        assert result.ok
+        (evaluate,) = [task for task in plan.ordered() if task.stage == "evaluate"]
+        (model,) = [plan.tasks[dep] for dep in evaluate.deps]
+        finetuned, pipeline = store.get_finetuned(model.key)
+        test = Experiment(spec, store=store).bundle("case1").test
+        predictions = Predictor(finetuned.model, pipeline).predict_dataset(test)
+        expected = float(np.mean((predictions - test.delay_target) ** 2))
+        assert result[evaluate.id]["model_mse"] == expected

@@ -53,7 +53,8 @@ class TestRegistry:
         sweep = STAGE_REGISTRY.sweep_stages()
         every = STAGE_REGISTRY.all_stages()
         assert set(default) <= set(sweep) <= set(every)
-        assert "scratch" in every and "scratch" not in sweep
+        # The tables' stages are ordinary, sweepable stages.
+        assert "scratch" in every and "scratch" in sweep
 
     def test_duplicate_registration_rejected(self):
         fresh = StageRegistry()
@@ -310,9 +311,11 @@ class TestCustomStageThroughEngine:
             plan_campaign([spec])
         assert "traces" in str(excinfo.value)
 
-    def test_unsweepable_stage_rejected(self):
-        with pytest.raises(ValueError, match="unknown stages"):
-            plan_campaign([self._spec()], stages=("scratch",))
+    def test_table_stage_sweeps_with_its_dependencies(self):
+        plan = plan_campaign([self._spec()], stages=("scratch",))
+        assert [task.stage for task in plan.ordered()] == [
+            "traces", "bundle", "pretrain", "scratch",
+        ]
 
 
 class TestExecuteStageErrors:

@@ -150,8 +150,8 @@ class TestApiCommands:
         for name in ("traces", "pretrain", "evaluate", "federated_pretrain",
                      "drift_monitor", "trace_stats"):
             assert name in out
-        # Table-only stages are not sweepable and stay unlisted.
-        assert "scratch" not in out
+        # The tables' stages are listed like every other stage.
+        assert "scratch" in out and "baselines" in out
 
 
 class TestSweep:
