@@ -9,7 +9,7 @@ so a repeated run hits disk instead of re-simulating or re-training.
 Layout (one ``.npz`` per artifact, one ``.json`` per record)::
 
     <root>/traces/<key>-run<i>.npz   (+ <key>.meta.json sidecar)
-    <root>/bundles/<key>.npz
+    <root>/bundles/<key>.npz         (per split: packet columns + window ends)
     <root>/checkpoints/<key>.npz
     <root>/evaluations/<key>.json
     <root>/manifests/<name>.json
@@ -23,13 +23,17 @@ artifacts with the same key are interchangeable.
 Every payload is stamped with :data:`ARTIFACT_SCHEMA_VERSION`; a stored
 artifact whose stamp does not match the running code is treated as a
 cache miss, so stale artifacts written by older code are never silently
-served (cache *keys* cover configs, not code).
+served (cache *keys* cover configs, not code).  A bundle that cannot be
+read — truncated, corrupt, or in an older member layout — is a cache
+miss too, so the stage that owns it recomputes it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +53,7 @@ from repro.core.model import NTT, NTTConfig, NTTForDelay, NTTForMCT
 from repro.core.pretrain import PretrainResult, TrainSettings
 from repro.datasets.generation import DatasetBundle
 from repro.datasets.normalize import FeatureScaler
-from repro.datasets.windows import WindowConfig, WindowDataset
+from repro.datasets.windows import PACKET_COLUMNS, WindowConfig, WindowDataset
 from repro.netsim.scenarios import ScenarioConfig
 from repro.netsim.trace import Trace
 from repro.nn.serialize import load_state, save_checkpoint
@@ -84,14 +88,21 @@ JSON_KINDS = ("evaluations", "manifests")
 _META_KEY = "__meta__"
 _SCHEMA_KEY = "__schema_version__"
 _SPLITS = ("train", "val", "test")
-_SPLIT_ARRAYS = (
-    "features",
-    "receiver",
-    "delay_target",
-    "mct_target",
-    "message_size",
-    "mct_seq",
-    "end_seq",
+#: Members stored per bundle split: a WindowDataset's packed form.
+_SPLIT_ARRAYS = (*PACKET_COLUMNS, "ends", "segments", "window_len")
+_BUNDLE_MEMBERS = frozenset(
+    f"{split}__{name}" for split in _SPLITS for name in _SPLIT_ARRAYS
+)
+
+#: What reading a damaged ``.npz`` raises: a truncated archive, a corrupt
+#: deflate stream, a short read, a missing member, a bad header.
+_UNREADABLE = (
+    OSError,
+    EOFError,
+    KeyError,
+    ValueError,
+    zipfile.BadZipFile,
+    zlib.error,
 )
 
 
@@ -326,8 +337,10 @@ class ArtifactStore:
                         return False
                     metadata = json.loads(bytes(data[_META_KEY].tobytes()).decode("utf-8"))
                     return metadata.get("schema_version") == ARTIFACT_SCHEMA_VERSION
+                if kind == "bundles" and not _BUNDLE_MEMBERS <= set(data.files):
+                    return False  # an older (materialized-window) layout
                 return self._schema_matches(data)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
+        except _UNREADABLE:
             return False
 
     def get(self, kind: str, key: str) -> Path | None:
@@ -535,7 +548,12 @@ class ArtifactStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         temp = self._temp_path(path)
         try:
-            trace.save(temp)
+            with open(temp, "wb") as handle:
+                trace.save(handle)
+                # The sidecar finalize_trace_runs publishes vouches for
+                # this file, so its data must be on disk before the rename.
+                handle.flush()
+                os.fsync(handle.fileno())
             self._publish(temp, path)
         finally:
             temp.unlink(missing_ok=True)
@@ -586,11 +604,17 @@ class ArtifactStore:
     # -- dataset bundles ---------------------------------------------------------
 
     def put_bundle(self, key: str, bundle: DatasetBundle) -> Path:
+        """Store a bundle as, per split, the packet columns its windows
+        read plus the window ends — never the materialized windows."""
         payload = {}
         for split in _SPLITS:
-            dataset = getattr(bundle, split)
-            for name in _SPLIT_ARRAYS:
-                payload[f"{split}__{name}"] = getattr(dataset, name)
+            # Concatenating one split drops the packets no window reads.
+            dataset = WindowDataset.concatenate([getattr(bundle, split)])
+            for name in PACKET_COLUMNS:
+                payload[f"{split}__{name}"] = dataset.columns[name]
+            payload[f"{split}__ends"] = dataset.ends
+            payload[f"{split}__segments"] = dataset.segments
+            payload[f"{split}__window_len"] = np.int64(dataset.window_len)
         meta = {
             "name": bundle.name,
             "receiver_index": {str(k): v for k, v in bundle.receiver_index.items()},
@@ -606,17 +630,27 @@ class ArtifactStore:
         return path
 
     def get_bundle(self, key: str) -> DatasetBundle | None:
+        """Load a stored bundle; a stale, unreadable or older-layout file
+        reads as a cache miss (``None``)."""
         path = self.get("bundles", key)
         if path is None:
             return None
-        with np.load(path) as data:
-            if not self._schema_matches(data):
-                return None
-            meta = json.loads(bytes(data[_META_KEY].tobytes()).decode("utf-8"))
-            splits = {}
-            for split in _SPLITS:
-                arrays = {name: data[f"{split}__{name}"] for name in _SPLIT_ARRAYS}
-                splits[split] = WindowDataset(**arrays)
+        try:
+            with np.load(path) as data:
+                if not self._schema_matches(data):
+                    return None
+                meta = json.loads(bytes(data[_META_KEY].tobytes()).decode("utf-8"))
+                splits = {}
+                for split in _SPLITS:
+                    arrays = {name: data[f"{split}__{name}"] for name in _SPLIT_ARRAYS}
+                    splits[split] = WindowDataset(
+                        {name: arrays[name] for name in PACKET_COLUMNS},
+                        arrays["ends"],
+                        int(arrays["window_len"]),
+                        arrays["segments"],
+                    )
+        except _UNREADABLE:
+            return None
         return DatasetBundle(
             name=meta["name"],
             train=splits["train"],

@@ -22,7 +22,12 @@ __all__ = ["DatasetBundle", "generate_dataset", "build_receiver_index"]
 
 @dataclass
 class DatasetBundle:
-    """A windowed dataset with its splits and provenance."""
+    """A windowed dataset with its splits and provenance.
+
+    Each split holds only the packets its own windows read (see
+    :meth:`WindowDataset.concatenate`), so the three splits together
+    hold each simulated packet about once.
+    """
 
     name: str
     train: WindowDataset
@@ -85,7 +90,8 @@ def generate_dataset(
 
     Each run is windowed independently (windows never cross runs) and
     split temporally; the per-run splits are then concatenated so every
-    run contributes to train, val and test alike.
+    run contributes to train, val and test alike.  No window is
+    materialized here: the splits hold packet columns plus window ends.
 
     ``traces`` short-circuits the simulation with pre-generated runs
     (e.g. served from the artifact store); they must come from the same

@@ -19,7 +19,8 @@ def temporal_split(
     Windows are stored in (run, time) order, so a positional split keeps
     the test set temporally after the training data within each run's
     block — the honest evaluation regime for sequence models ("we
-    reserve a fraction for testing", §4).
+    reserve a fraction for testing", §4).  The splits share the input's
+    packet columns; only the window ends are divided.
     """
     if not 0.0 < train_fraction < 1.0 or not 0.0 <= val_fraction < 1.0:
         raise ValueError("fractions must lie in (0, 1)")
@@ -31,11 +32,10 @@ def temporal_split(
     train_end = max(1, int(count * train_fraction))
     val_end = max(train_end + 1, int(count * (train_fraction + val_fraction)))
     val_end = min(val_end, count - 1)
-    indices = np.arange(count)
     return (
-        dataset.subset(indices[:train_end]),
-        dataset.subset(indices[train_end:val_end]),
-        dataset.subset(indices[val_end:]),
+        dataset.subset(slice(0, train_end)),
+        dataset.subset(slice(train_end, val_end)),
+        dataset.subset(slice(val_end, count)),
     )
 
 

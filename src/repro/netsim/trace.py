@@ -244,7 +244,7 @@ class Trace:
         )
 
     def save(self, path) -> None:
-        """Serialize to an ``.npz`` file."""
+        """Serialize to an ``.npz`` file (a path or an open binary handle)."""
         np.savez_compressed(
             path,
             send_time=self.send_time,

@@ -74,6 +74,83 @@ class TestBundleRoundTrip:
         assert restored.n_packets == smoke_bundle.n_packets
         assert restored.name == smoke_bundle.name
 
+    def test_splits_store_packet_columns_not_windows(self, store, smoke_bundle):
+        path = store.put_bundle("key", smoke_bundle)
+        with np.load(path) as data:
+            assert not any(name.endswith("__features") for name in data.files)
+            stored = sum(len(data[f"{split}__send_time"]) for split in ("train", "val", "test"))
+        # One run, two split boundaries: each boundary re-reads at most
+        # one window's worth of packets.
+        window_len = smoke_bundle.window_config.window_len
+        assert stored <= smoke_bundle.n_packets + 2 * window_len
+
+
+def rewrite_in_old_layout(path, bundle):
+    """Rewrite a stored bundle the way materializing code stored it: every
+    window's arrays in full, stamped with the current schema."""
+    from repro.api.store import ARTIFACT_SCHEMA_VERSION, _META_KEY, _SCHEMA_KEY
+
+    with np.load(path) as data:
+        meta = data[_META_KEY]
+    payload = {_META_KEY: meta, _SCHEMA_KEY: np.int64(ARTIFACT_SCHEMA_VERSION)}
+    for split in ("train", "val", "test"):
+        dataset = getattr(bundle, split)
+        for name in ("features", "receiver", "delay_target", "mct_target",
+                     "message_size", "mct_seq", "end_seq"):
+            payload[f"{split}__{name}"] = getattr(dataset, name)
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **payload)
+
+
+class TestUnreadableBundles:
+    """A bundle the store cannot read is a cache miss, never an error."""
+
+    def test_truncated_bundle_misses(self, store, smoke_bundle):
+        path = store.put_bundle("key", smoke_bundle)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        assert not store.is_current("bundles", "key")
+        assert store.get_bundle("key") is None
+
+    def test_corrupt_bytes_miss(self, store, smoke_bundle):
+        path = store.put_bundle("key", smoke_bundle)
+        raw = bytearray(path.read_bytes())
+        middle = len(raw) // 2
+        raw[middle : middle + 64] = bytes(64)
+        path.write_bytes(bytes(raw))
+        assert store.get_bundle("key") is None
+
+    def test_missing_member_misses(self, store, smoke_bundle):
+        path = store.put_bundle("key", smoke_bundle)
+        with np.load(path) as data:
+            payload = {name: data[name] for name in data.files if name != "val__ends"}
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **payload)
+        assert not store.is_current("bundles", "key")
+        assert store.get_bundle("key") is None
+
+    def test_old_layout_misses_and_is_rebuilt(self, store):
+        from dataclasses import replace
+
+        scale = replace(get_scale("smoke"), pretrain_settings=FAST, finetune_settings=FAST)
+        original = ExperimentContext(scale, store=store).bundle(ScenarioKind.PRETRAIN)
+        (key,) = store.keys("bundles")
+        path = store.path("bundles", key)
+        rewrite_in_old_layout(path, original)
+        assert not store.is_current("bundles", key)
+        assert store.get_bundle(key) is None
+
+        rebuilt = ExperimentContext(scale, store=store).bundle(ScenarioKind.PRETRAIN)
+        assert store.is_current("bundles", key)
+        with np.load(path) as data:
+            assert "train__ends" in data.files
+            assert "train__features" not in data.files
+        restored = store.get_bundle(key)
+        for split in ("train", "val", "test"):
+            for loaded in (getattr(rebuilt, split), getattr(restored, split)):
+                expected = getattr(original, split)
+                assert np.array_equal(loaded.features, expected.features)
+                assert np.array_equal(loaded.mct_seq, expected.mct_seq, equal_nan=True)
+
 
 class TestCheckpointRoundTrip:
     def test_save_get_load_is_bit_for_bit(self, store, smoke_bundle, smoke_pretrain):
@@ -233,6 +310,31 @@ class TestTraces:
         for original, loaded in zip(traces, restored):
             assert np.array_equal(original.send_time, loaded.send_time)
             assert np.array_equal(original.delay, loaded.delay)
+
+    def test_run_file_is_fsynced_before_it_is_published(self, store, smoke_trace, monkeypatch):
+        import os
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            return real_fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append(("replace", str(dst)))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        path = store.put_trace_run("key", 0, smoke_trace)
+        # A rename keeps the inode: the published file is the one fsynced.
+        assert events == [("fsync", path.stat().st_ino), ("replace", str(path))]
+
+    def test_run_file_bytes_match_trace_save(self, store, smoke_trace, tmp_path):
+        path = store.put_trace_run("key", 0, smoke_trace)
+        smoke_trace.save(tmp_path / "direct.npz")
+        assert path.read_bytes() == (tmp_path / "direct.npz").read_bytes()
 
     def test_has_traces_requires_complete_run_set(self, store):
         config = ScenarioConfig.smoke(ScenarioKind.PRETRAIN, seed=7)

@@ -14,24 +14,31 @@ from repro.datasets.windows import WindowDataset
 
 
 def synthetic_dataset(n=20, window=8):
-    """Hand-built windows with known values."""
+    """Hand-built windows with known values: ``n`` back-to-back packet
+    segments of ``window`` packets, one window ending on each segment's
+    last packet."""
     rng = np.random.default_rng(0)
-    features = np.zeros((n, window, 3))
-    features[:, :, 2] = rng.uniform(0.01, 0.1, size=(n, window))
-    receiver = np.zeros((n, window), dtype=np.int64)
-    delay_target = features[:, -1, 2].copy()
-    mct_seq = np.full((n, window), np.nan)
-    end_seq = np.zeros((n, window), dtype=bool)
+    shape = (n, window)
+    delay = rng.uniform(0.01, 0.1, size=shape)
+    mct = np.full(shape, np.nan)
+    is_message_end = np.zeros(shape, dtype=bool)
     # Message ends at positions 2 and 5 with known MCTs.
-    mct_seq[:, 2] = 0.5
-    end_seq[:, 2] = True
-    mct_seq[:, 5] = 0.8
-    end_seq[:, 5] = True
-    mct_target = np.full(n, 0.7)
-    message_size = np.full(n, 3000.0)
-    return WindowDataset(
-        features, receiver, delay_target, mct_target, message_size, mct_seq, end_seq
-    )
+    mct[:, 2] = 0.5
+    is_message_end[:, 2] = True
+    mct[:, 5] = 0.8
+    is_message_end[:, 5] = True
+    mct[:, -1] = 0.7  # the last packet's message: the MCT target
+    columns = {
+        "send_time": np.zeros(n * window),
+        "size": np.zeros(n * window, dtype=np.int64),
+        "delay": delay.ravel(),
+        "receiver": np.zeros(n * window, dtype=np.int64),
+        "mct": mct.ravel(),
+        "is_message_end": is_message_end.ravel(),
+        "message_size": np.full(n * window, 3000, dtype=np.int64),
+    }
+    starts = np.arange(n) * window
+    return WindowDataset(columns, starts + window - 1, window, segments=starts)
 
 
 class TestLastObserved:

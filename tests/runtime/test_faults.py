@@ -382,6 +382,34 @@ class TestCrashAndResume:
         assert state.completed["status"] == "crashed"
 
 
+class TestCorruptArtifacts:
+    def test_truncated_bundle_recomputes_on_warm_rerun(self, store, tmp_path):
+        """A truncated bundle in a warm store is rebuilt from the stored
+        traces; every other artifact is still served from the store."""
+        first = run_campaign(fast_specs(), store=store)
+        assert first.ok
+        (key,) = store.keys("bundles")
+        path = store.path("bundles", key)
+        path.write_bytes(path.read_bytes()[:4096])
+
+        rerun = run_campaign(fast_specs(), store=store)
+        assert rerun.ok
+        hits = {row["stage"]: row["cache_hit"] for row in rerun.manifest["tasks"]}
+        assert hits == {"traces": True, "bundle": False, "pretrain": True, "evaluate": True}
+        for task_id, payload in first.results.items():
+            if task_id.startswith("evaluate:"):
+                assert rerun.results[task_id] == payload
+
+        fresh = ArtifactStore(tmp_path / "fresh")
+        assert run_campaign(fast_specs(), store=fresh).ok
+        rebuilt, clean = store.get_bundle(key), fresh.get_bundle(key)
+        for split in ("train", "val", "test"):
+            for name in ("features", "receiver", "delay_target", "mct_target",
+                         "message_size", "mct_seq", "end_seq"):
+                a, b = getattr(getattr(rebuilt, split), name), getattr(getattr(clean, split), name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (split, name)
+
+
 class TestResumeCLI:
     def test_missing_journal_exits_2(self, tmp_path, capsys):
         from repro.cli import main
